@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hyperloop/internal/experiments"
+	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/ycsb"
 )
@@ -250,6 +251,7 @@ func BenchmarkGWriteHot(b *testing.B) {
 	tb := NewTestbed(eng, 3)
 	defer tb.Group.Close()
 	tb.Client().StoreWrite(0, make([]byte, 1024))
+	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {
@@ -259,6 +261,51 @@ func BenchmarkGWriteHot(b *testing.B) {
 	}
 	if done != b.N {
 		b.Fatalf("completed %d/%d", done, b.N)
+	}
+}
+
+// gWriteAllocs returns the allocations of one durable 1 KiB gWRITE through a
+// 3-replica group in steady state, with tracer (nil = none) on every NIC.
+func gWriteAllocs(t *testing.T, tracer func(rdma.TraceEvent)) float64 {
+	t.Helper()
+	eng := NewEngine()
+	tb := NewTestbed(eng, 3)
+	defer tb.Group.Close()
+	for _, n := range tb.Cluster.Nodes {
+		n.NIC.SetTracer(tracer)
+	}
+	tb.Client().StoreWrite(0, make([]byte, 1024))
+	done := 0
+	onDone := func(Result) { done++ }
+	pred := func() bool { return done > 0 }
+	op := func() {
+		done = 0
+		if err := tb.Group.GWrite(0, 1024, true, onDone); err != nil {
+			t.Fatal(err)
+		}
+		if !eng.RunUntil(pred, eng.Now().Add(Second)) {
+			t.Fatal("gWRITE did not complete")
+		}
+	}
+	for i := 0; i < 2000; i++ { // past the first replenish rounds: pools and scratch are warm
+		op()
+	}
+	return testing.AllocsPerRun(2000, op)
+}
+
+// TestGWriteAllocCeiling pins the host cost of the NIC datapath (ROADMAP
+// 5a): a durable gWRITE stays under a fixed allocation ceiling, and
+// attaching a tracer that formats nothing costs exactly nothing — the same
+// count as no tracer at all.
+func TestGWriteAllocCeiling(t *testing.T) {
+	const ceiling = 20
+	bare := gWriteAllocs(t, nil)
+	traced := gWriteAllocs(t, func(rdma.TraceEvent) {})
+	if bare > ceiling {
+		t.Errorf("durable 1 KiB gWRITE allocates %v/op, ceiling %d", bare, ceiling)
+	}
+	if traced != bare {
+		t.Errorf("no-op tracer changes allocations: %v/op traced vs %v/op bare", traced, bare)
 	}
 }
 
@@ -312,6 +359,7 @@ func BenchmarkGCASHot(b *testing.B) {
 	eng := NewEngine()
 	tb := NewTestbed(eng, 3)
 	defer tb.Group.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {
@@ -330,6 +378,7 @@ func BenchmarkGMemcpyHot(b *testing.B) {
 	tb := NewTestbed(eng, 3)
 	defer tb.Group.Close()
 	tb.Client().StoreWrite(0, make([]byte, 1024))
+	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
 	for i := 0; i < b.N; i++ {

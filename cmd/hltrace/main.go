@@ -15,9 +15,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hyperloop"
 	"hyperloop/internal/cluster"
@@ -36,12 +39,19 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := run(os.Stdout, *size, *durable, *seed); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run narrates one gWRITE of size bytes to w.
+func run(w io.Writer, size int, durable bool, seed int64) error {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Config{
 		Nodes:     4,
 		StoreSize: 1 << 20,
-		Seed:      *seed,
-		Host:      cpusched.Config{Seed: *seed},
+		Seed:      seed,
+		Host:      cpusched.Config{Seed: seed},
 	})
 	g := core.New(cl, core.Config{Depth: 16})
 	defer g.Close()
@@ -52,23 +62,24 @@ func main() {
 	col := trace.NewCollector(0)
 	col.AttachAll(cl)
 
-	cl.Client().StoreWrite(0, make([]byte, *size))
+	cl.Client().StoreWrite(0, make([]byte, size))
 	start := eng.Now()
 	done := false
 	var lat sim.Duration
-	if err := g.GWrite(0, *size, *durable, func(r core.Result) {
+	if err := g.GWrite(0, size, durable, func(r core.Result) {
 		lat = r.Latency
 		done = true
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	eng.RunUntil(func() bool { return done }, eng.Now().Add(hyperloop.Second))
 	if !done {
-		log.Fatal("gWRITE stalled")
+		return errors.New("gWRITE stalled")
 	}
 
-	fmt.Printf("durable gWRITE of %dB across 3 replicas: %v end to end\n", *size, lat)
-	fmt.Print(col.Render(col.Window(start, start.Add(lat+1)), start))
-	fmt.Println("\nevery row after the client's three posts runs on a replica NIC;")
-	fmt.Println("no replica host CPU appears anywhere in this timeline.")
+	fmt.Fprintf(w, "durable gWRITE of %dB across 3 replicas: %v end to end\n", size, lat)
+	fmt.Fprint(w, col.Render(col.Window(start, start.Add(lat+1)), start))
+	fmt.Fprintln(w, "\nevery row after the client's three posts runs on a replica NIC;")
+	fmt.Fprintln(w, "no replica host CPU appears anywhere in this timeline.")
+	return nil
 }

@@ -92,6 +92,15 @@ type channel struct {
 
 	creditMR *rdma.MemoryRegion // per-hop posted counters, written by replicas
 
+	// The client CPU's view of its own rings: the RAM behind cliStaging,
+	// ackMR, creditMR and ctrlMR, which the host reads and fills in place.
+	cliStagingRAM, ackRAM, creditRAM, ctrlRAM []byte
+
+	// Posting scratch, reused across rounds (see sges): client WQEs of one
+	// sendBatch, and one replenish round's downstream and loopback chains.
+	cliWQEs, downWQEs, loopWQEs []rdma.WQE
+	sgeArena                    []rdma.SGE
+
 	issued     uint64
 	acked      uint64
 	pending    []*op // in-flight, ack order = issue order (chain + RC)
@@ -117,15 +126,18 @@ type channel struct {
 // minCredit returns the lowest replenished-op count across hops: the client
 // may issue sequence numbers strictly below it.
 func (c *channel) minCredit() uint64 {
-	var buf [8]byte
 	min := ^uint64(0)
 	for i := range c.hops {
-		c.creditMR.Backing().ReadAt(8*i, buf[:])
-		if v := le64(buf[:]); v < min {
+		if v := le64(c.creditRAM[8*i:]); v < min {
 			min = v
 		}
 	}
 	return min
+}
+
+// ramOf returns the bytes behind a region registered with RegisterRAM.
+func ramOf(mr *rdma.MemoryRegion) []byte {
+	return mr.Backing().(*rdma.RAMBacking).Bytes()
 }
 
 // geometry returns per-kind chain shape: slots per op on the down SQ and
@@ -212,6 +224,7 @@ func (g *Group) buildChannel(kind chanKind) *channel {
 	c.cliQP = pairs[0].src
 	c.ackQP = pairs[n].dst
 	c.creditMR = g.client.NIC.RegisterRAM(8*maxInt(n, 1), rdma.AccessLocalWrite|rdma.AccessRemoteWrite)
+	c.creditRAM = ramOf(c.creditMR)
 	for i, rep := range g.replicas {
 		h := &hop{node: rep, up: pairs[i].dst, down: pairs[i+1].src}
 		// Credit path: replica → client, used only by the replenisher.
@@ -239,12 +252,14 @@ func (g *Group) buildChannel(kind chanKind) *channel {
 	c.msgHead = c.msgSize(0)
 	if c.msgHead > 0 {
 		c.cliStaging = g.client.NIC.RegisterRAM(depth*c.msgHead, rdma.AccessLocalWrite)
+		c.cliStagingRAM = ramOf(c.cliStaging)
 	}
 	c.ackSlot = 8 * n
 	if c.ackSlot < 8 {
 		c.ackSlot = 8
 	}
 	c.ackMR = g.client.NIC.RegisterRAM(depth*c.ackSlot, rdma.AccessLocalWrite|rdma.AccessRemoteWrite)
+	c.ackRAM = ramOf(c.ackMR)
 	c.cliQP.SendCQ().SetAutoDrain(true)
 	c.ackQP.RecvCQ().SetAutoDrain(true)
 	if kind == chLoop {
@@ -252,6 +267,7 @@ func (g *Group) buildChannel(kind chanKind) *channel {
 		// ack: ack completions only feed the template's WAIT counter.
 		c.timerCQ = g.client.NIC.CreateTimerCQ(g.cfg.LoopTick)
 		c.ctrlMR = g.client.NIC.RegisterRAM(8, rdma.AccessLocalWrite)
+		c.ctrlRAM = ramOf(c.ctrlMR)
 		c.cliQP.SendCQ().SetCallback(func(e rdma.CQE) { c.onLoopCQE(e) })
 		return c
 	}
@@ -275,10 +291,12 @@ func (c *channel) prime() {
 	for i := range c.hops {
 		c.replenish(i)
 		// Setup is host-coordinated: seed the credit region directly.
-		var buf [8]byte
-		putLE64(buf[:], uint64(c.hops[i].posted))
-		c.creditMR.Backing().WriteAt(8*i, buf[:])
+		putLE64(c.creditRAM[8*i:], uint64(c.hops[i].posted))
 	}
+	// Priming posts Depth chains per hop at once; steady-state rounds post a
+	// handful. Let the scratch regrow to that size instead of pinning
+	// megabytes per channel for the life of the group.
+	c.downWQEs, c.loopWQEs, c.sgeArena = nil, nil, nil
 	if c.kind == chLoop {
 		c.postLoopTemplate()
 	}
@@ -313,7 +331,8 @@ func (c *channel) replenish(ri int) int {
 		return 0
 	}
 	h := c.hops[ri]
-	var down, loop []rdma.WQE
+	down, loop := c.downWQEs[:0], c.loopWQEs[:0]
+	c.sgeArena = c.sgeArena[:0]
 	for i := 0; i < n; i++ {
 		if err := c.chainWQEs(ri, h.posted, &down, &loop); err != nil {
 			c.g.fail(fmt.Errorf("%w: replenish %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))
@@ -321,6 +340,7 @@ func (c *channel) replenish(ri int) int {
 		}
 		h.posted++
 	}
+	c.downWQEs, c.loopWQEs = down, loop
 	if len(down) > 0 {
 		if _, err := h.down.PostSendBatch(down, rdma.RawOwnership); err != nil {
 			c.g.fail(fmt.Errorf("%w: replenish %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))
@@ -341,12 +361,10 @@ func (c *channel) replenish(ri int) int {
 // region.
 func (c *channel) pushCredit(ri int) {
 	h := c.hops[ri]
-	var buf [8]byte
-	putLE64(buf[:], uint64(h.posted))
-	h.credMR.Backing().WriteAt(0, buf[:])
+	putLE64(ramOf(h.credMR), uint64(h.posted))
 	if _, err := h.credQP.PostSend(rdma.WQE{
 		Opcode: rdma.OpWrite, RKey: c.creditMR.RKey(), RAddr: uint64(8 * ri),
-		SGEs: []rdma.SGE{{LKey: h.credMR.LKey(), Offset: 0, Length: 8}},
+		SGEs: c.sges(rdma.SGE{LKey: h.credMR.LKey(), Offset: 0, Length: 8}),
 	}); err != nil {
 		c.g.fail(fmt.Errorf("%w: credit push %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))
 	}
@@ -391,17 +409,19 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		base := k * c.slotsSQ
 		var sges []rdma.SGE
 		if !tail {
-			sges = append(sges, rdma.SGE{
+			peel := rdma.SGE{
 				LKey:   h.down.SQTable().MR().LKey(),
 				Offset: uint64(h.down.SQTable().SlotOffset(base + 1)),
 				Length: uint32(c.manipLen),
-			})
+			}
 			if stg > 0 {
-				sges = append(sges, rdma.SGE{
+				sges = c.sges(peel, rdma.SGE{
 					LKey:   h.staging.LKey(),
 					Offset: uint64(c.stagingOff(ri, k)),
 					Length: uint32(stg),
 				})
+			} else {
+				sges = c.sges(peel)
 			}
 		}
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
@@ -418,22 +438,22 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		*down = append(*down, held, held) // WRITE, FLUSH / NOP
 		var fwd []rdma.SGE
 		if stg > 0 {
-			fwd = []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+			fwd = c.sges(rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
 		}
 		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
 		return nil
 
 	case chCAS, chLoop:
 		lbase := k * c.slotsLQ
-		sges := []rdma.SGE{{
+		sges := c.sges(rdma.SGE{
 			LKey:   h.loop.SQTable().MR().LKey(),
 			Offset: uint64(h.loop.SQTable().SlotOffset(lbase + 1)),
 			Length: uint32(c.manipLen),
-		}, {
+		}, rdma.SGE{
 			LKey:   h.staging.LKey(),
 			Offset: uint64(c.stagingOff(ri, k)),
 			Length: uint32(stg),
-		}}
+		})
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
 		}
@@ -441,7 +461,7 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 			rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.up.RecvCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true},
 			held) // CAS / MaskFAdd / NOP
 		*down = append(*down, rdma.WQE{Opcode: rdma.OpWait, WaitCQ: h.loop.SendCQ().ID(), WaitCount: 1, WRID: kk, HWOwned: true})
-		ackSGE := []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+		ackSGE := c.sges(rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
 		if tail {
 			*down = append(*down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
@@ -457,15 +477,15 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		lbase := k * c.slotsLQ
 		// The RECV peels this hop's GUARD+WRITE images into adjacent loop
 		// slots; the rest (downstream images, payload, observed map) stages.
-		sges := []rdma.SGE{{
+		sges := c.sges(rdma.SGE{
 			LKey:   h.loop.SQTable().MR().LKey(),
 			Offset: uint64(h.loop.SQTable().SlotOffset(lbase + 1)),
 			Length: uint32(c.manipLen),
-		}, {
+		}, rdma.SGE{
 			LKey:   h.staging.LKey(),
 			Offset: uint64(c.stagingOff(ri, k)),
 			Length: uint32(stg),
-		}}
+		})
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
 		}
@@ -481,23 +501,24 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 			*down = append(*down, rdma.WQE{
 				Opcode: rdma.OpWriteImm, Signaled: true, WRID: kk, Imm: kk, HWOwned: true,
 				RKey: c.ackMR.RKey(), RAddr: uint64(c.ackOff(k)),
-				SGEs: []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(mapOff), Length: uint32(8 * len(c.hops))}},
+				SGEs: c.sges(rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(mapOff), Length: uint32(8 * len(c.hops))}),
 			})
 			return nil
 		}
-		fwd := []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+		fwd := c.sges(rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
 		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
 		return nil
 
 	case chMemcpy:
 		lbase := k * c.slotsLQ
-		sges := []rdma.SGE{{
+		peel := rdma.SGE{
 			LKey:   h.loop.SQTable().MR().LKey(),
 			Offset: uint64(h.loop.SQTable().SlotOffset(lbase + 1)),
 			Length: uint32(c.manipLen),
-		}}
+		}
+		sges := c.sges(peel)
 		if stg > 0 {
-			sges = append(sges, rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
+			sges = c.sges(peel, rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
 		}
 		if _, err := h.up.PostRecv(rdma.WQE{WRID: kk, SGEs: sges}); err != nil {
 			return err
@@ -517,7 +538,7 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 		}
 		var fwd []rdma.SGE
 		if stg > 0 {
-			fwd = []rdma.SGE{{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)}}
+			fwd = c.sges(rdma.SGE{LKey: h.staging.LKey(), Offset: uint64(c.stagingOff(ri, k)), Length: uint32(stg)})
 		}
 		*down = append(*down, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: kk, HWOwned: true, SGEs: fwd})
 		return nil
@@ -585,12 +606,10 @@ func (c *channel) finish(o *op, err error) {
 // readResultMap copies the gCAS result map out of the ack ring before the
 // slot can be reused.
 func (c *channel) readResultMap(seq uint64) []uint64 {
-	n := len(c.g.replicas)
-	buf := make([]byte, 8*n)
-	c.ackMR.Backing().ReadAt(c.ackOff(int(seq)), buf)
-	out := make([]uint64, n)
+	slot := c.ackRAM[c.ackOff(int(seq)):]
+	out := make([]uint64, len(c.g.replicas))
 	for i := range out {
-		out[i] = le64(buf[8*i:])
+		out[i] = le64(slot[8*i:])
 	}
 	return out
 }

@@ -14,7 +14,8 @@ import (
 // NICs. A batch of one is the legacy issue path with identical timing when
 // no DoorbellCost is configured.
 func (c *channel) sendBatch(ops []*op) {
-	var ws []rdma.WQE
+	ws := c.cliWQEs[:0]
+	c.sgeArena = c.sgeArena[:0]
 	for _, o := range ops {
 		o.seq = c.issued
 		c.issued++
@@ -26,8 +27,9 @@ func (c *channel) sendBatch(ops []*op) {
 				c.g.fail(fmt.Errorf("%w: %s op %d timed out", ErrGroupFailed, c.kind, seq))
 			})
 		}
-		ws = append(ws, c.clientWQEs(o)...)
+		ws = c.clientWQEs(ws, o)
 	}
+	c.cliWQEs = ws
 	if c.g.failed != nil || len(ws) == 0 {
 		return
 	}
@@ -41,27 +43,34 @@ func (c *channel) sendBatch(ops []*op) {
 	}
 }
 
-// clientWQEs builds op o's client-side work requests and stages its
+// sges returns list as a slice of the channel's SGE arena. Posting encodes
+// descriptors into queue memory at once, so the lists a posting round hands
+// to the NIC only need to live until that round posts; sendBatch and
+// replenish each reset the arena when they start.
+func (c *channel) sges(list ...rdma.SGE) []rdma.SGE {
+	start := len(c.sgeArena)
+	c.sgeArena = append(c.sgeArena, list...)
+	return c.sgeArena[start:len(c.sgeArena):len(c.sgeArena)]
+}
+
+// clientWQEs appends op o's client-side work requests to ws and stages its
 // metadata message in the outgoing ring slot for seq o.seq.
-func (c *channel) clientWQEs(o *op) []rdma.WQE {
+func (c *channel) clientWQEs(ws []rdma.WQE, o *op) []rdma.WQE {
 	k := int(o.seq)
-	msg := c.buildMetadata(o, k)
 	slotOff := (k % c.g.cfg.Depth) * c.msgHead
-	if len(msg) > 0 {
-		c.cliStaging.Backing().WriteAt(slotOff, msg)
-	}
 	head := c.g.replicas[0]
-	metaSGE := []rdma.SGE{}
+	var metaSGE []rdma.SGE
 	if c.msgHead > 0 {
-		metaSGE = []rdma.SGE{{LKey: c.cliStaging.LKey(), Offset: uint64(slotOff), Length: uint32(c.msgHead)}}
+		c.buildMetadata(c.cliStagingRAM[slotOff:slotOff+c.msgHead], o, k)
+		metaSGE = c.sges(rdma.SGE{LKey: c.cliStaging.LKey(), Offset: uint64(slotOff), Length: uint32(c.msgHead)})
 	}
 	switch c.kind {
 	case chWrite:
-		ws := []rdma.WQE{{
+		ws = append(ws, rdma.WQE{
 			Opcode: rdma.OpWrite, Signaled: true, WRID: o.seq,
 			RKey: head.Store.RKey(), RAddr: uint64(o.off),
-			SGEs: []rdma.SGE{{LKey: c.g.client.Store.LKey(), Offset: uint64(o.off), Length: uint32(o.size)}},
-		}}
+			SGEs: c.sges(rdma.SGE{LKey: c.g.client.Store.LKey(), Offset: uint64(o.off), Length: uint32(o.size)}),
+		})
 		if o.durable {
 			// gFLUSH interleave: drain the head replica's NIC cache before
 			// the metadata SEND triggers its forward.
@@ -69,119 +78,116 @@ func (c *channel) clientWQEs(o *op) []rdma.WQE {
 		}
 		return append(ws, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: o.seq, SGEs: metaSGE})
 	case chCAS, chMemcpy, chWriteIf:
-		return []rdma.WQE{{Opcode: rdma.OpSend, Signaled: true, WRID: o.seq, SGEs: metaSGE}}
+		return append(ws, rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: o.seq, SGEs: metaSGE})
 	case chLoop:
 		// gATOMIC_LOOP never builds per-op client WQEs: its template is
 		// pre-posted and issueLoop patches + doorbells it instead.
 		panic("core: gATOMIC_LOOP must issue through the template program")
 	case chFlush:
-		return []rdma.WQE{
-			{Opcode: rdma.OpRead, Signaled: true, WRID: o.seq, RKey: head.Store.RKey()},
-			{Opcode: rdma.OpSend, Signaled: true, WRID: o.seq},
-		}
+		return append(ws,
+			rdma.WQE{Opcode: rdma.OpRead, Signaled: true, WRID: o.seq, RKey: head.Store.RKey()},
+			rdma.WQE{Opcode: rdma.OpSend, Signaled: true, WRID: o.seq})
 	default:
 		panic("core: unknown channel kind")
 	}
 }
 
-// buildMetadata assembles the message entering hop 0: the concatenated
-// descriptor images each hop's RECV will peel into its own queue slots,
-// plus (for gCAS) the result map.
-func (c *channel) buildMetadata(o *op, k int) []byte {
+// buildMetadata assembles, in place in the client's staging ring slot msg
+// (msgHead bytes), the message entering hop 0: the concatenated descriptor
+// images each hop's RECV will peel into its own queue slots, plus (for
+// gCAS) the result map.
+func (c *channel) buildMetadata(msg []byte, o *op, k int) {
 	n := len(c.hops)
-	msg := make([]byte, 0, c.msgHead)
+	// slot hands out the message's next SlotSize bytes for one image.
+	pos := 0
+	slot := func() []byte {
+		pos += rdma.SlotSize
+		return msg[pos-rdma.SlotSize : pos]
+	}
 	switch c.kind {
 	case chWrite:
 		for i := 0; i < n-1; i++ {
-			msg = append(msg, c.writeImage(i, o, k)...)
-			msg = append(msg, c.flushImage(i+1, o)...)
+			c.writeImage(slot(), i, o, k)
+			c.flushImage(slot(), i+1, o)
 		}
 	case chCAS:
 		for i := 0; i < n; i++ {
-			msg = append(msg, c.casImage(i, o, k)...)
+			c.casImage(slot(), i, o, k)
 		}
-		msg = append(msg, sentinelMap(n)...)
+		pos += sentinelMap(msg[pos:], n)
 	case chLoop:
 		for i := 0; i < n; i++ {
-			msg = append(msg, c.loopImage(i, o, k)...)
+			c.loopImage(slot(), i, o, k)
 		}
-		msg = append(msg, sentinelMap(n)...)
+		pos += sentinelMap(msg[pos:], n)
 	case chWriteIf:
 		for i := 0; i < n; i++ {
-			msg = append(msg, c.guardImage(i, o, k)...)
-			msg = append(msg, c.writeIfImage(i, o, k)...)
+			c.guardImage(slot(), i, o, k)
+			c.writeIfImage(slot(), i, o, k)
 		}
 		// Carried payload: the client host copies the bytes out of its
 		// store into the chain message (bounded by PredPayloadCap).
-		pay := make([]byte, c.g.cfg.PredPayloadCap)
+		pay := msg[pos : pos+c.g.cfg.PredPayloadCap]
+		clear(pay[o.size:])
 		c.g.client.Store.Backing().ReadAt(o.off, pay[:o.size])
-		msg = append(msg, pay...)
-		msg = append(msg, sentinelMap(n)...)
+		pos += len(pay)
+		pos += sentinelMap(msg[pos:], n)
 	case chMemcpy:
 		for i := 0; i < n; i++ {
-			msg = append(msg, c.memcpyImage(i, o, k)...)
-			msg = append(msg, c.selfFlushImage(i, o)...)
+			c.memcpyImage(slot(), i, o, k)
+			c.flushImage(slot(), i, o)
 		}
 	case chFlush:
 		// No images: the chain is fully pre-posted.
 	}
-	if len(msg) != c.msgHead {
-		panic(fmt.Sprintf("core: %s metadata %dB, geometry says %dB", c.kind, len(msg), c.msgHead))
+	if pos != len(msg) {
+		panic(fmt.Sprintf("core: %s metadata %dB, geometry says %dB", c.kind, pos, len(msg)))
 	}
-	return msg
 }
 
 // writeImage is hop i's forwarding WRITE: gather the freshly-replicated
 // bytes from its own store and write them to hop i+1's store at the same
 // offset.
-func (c *channel) writeImage(i int, o *op, k int) []byte {
+func (c *channel) writeImage(dst []byte, i int, o *op, k int) {
 	self := c.g.replicas[i]
 	next := c.g.replicas[i+1]
-	return (&rdma.WQE{
+	(&rdma.WQE{
 		Opcode: rdma.OpWrite, Signaled: true, HWOwned: true, WRID: uint64(k),
 		RKey: next.Store.RKey(), RAddr: uint64(o.off),
 		SGEs: []rdma.SGE{{LKey: self.Store.LKey(), Offset: uint64(o.off), Length: uint32(o.size)}},
-	}).EncodeImage()
+	}).Encode(dst)
 }
 
-// flushImage is the interleaved gFLUSH toward replica j's store (a 0-byte
-// READ), or a signaled NOP when the op is not durable.
-func (c *channel) flushImage(j int, o *op) []byte {
+// flushImage is a gFLUSH of replica j's store (a 0-byte READ), or a signaled
+// NOP when the op is not durable. gWRITE interleaves it toward the next
+// replica; gMEMCPY drains the hop's own store through its loopback QP.
+func (c *channel) flushImage(dst []byte, j int, o *op) {
 	if !o.durable {
-		return nopImage()
+		nopImage(dst)
+		return
 	}
-	return (&rdma.WQE{
+	(&rdma.WQE{
 		Opcode: rdma.OpRead, Signaled: true, HWOwned: true,
 		RKey: c.g.replicas[j].Store.RKey(),
-	}).EncodeImage()
-}
-
-// selfFlushImage drains hop i's own store via its loopback QP.
-func (c *channel) selfFlushImage(i int, o *op) []byte {
-	if !o.durable {
-		return nopImage()
-	}
-	return (&rdma.WQE{
-		Opcode: rdma.OpRead, Signaled: true, HWOwned: true,
-		RKey: c.g.replicas[i].Store.RKey(),
-	}).EncodeImage()
+	}).Encode(dst)
 }
 
 // casImage is hop i's local compare-and-swap (or NOP when the execute map
 // skips it). The original value scatters into the hop's staging result
 // field so the chain accumulates the result map (§4.2, Figure 6).
-func (c *channel) casImage(i int, o *op, k int) []byte {
+func (c *channel) casImage(dst []byte, i int, o *op, k int) {
 	if !o.exec.Has(i) {
-		return nopImage()
+		nopImage(dst)
+		return
 	}
 	self := c.g.replicas[i]
 	resOff := c.stagingOff(i, k) + c.resultFieldOff(i)
-	return (&rdma.WQE{
+	(&rdma.WQE{
 		Opcode: rdma.OpCompSwap, Signaled: true, HWOwned: true, WRID: uint64(k),
 		RKey: self.Store.RKey(), RAddr: uint64(o.off),
 		Imm: o.casOld, Swap: o.casNew,
 		SGEs: []rdma.SGE{{LKey: c.hops[i].staging.LKey(), Offset: uint64(resOff), Length: 8}},
-	}).EncodeImage()
+	}).Encode(dst)
 }
 
 // resultFieldOff locates replica i's result slot within its staging area:
@@ -196,26 +202,26 @@ func (c *channel) resultFieldOff(i int) int {
 	return off + 8*i
 }
 
-// sentinelMap builds an n-entry result map filled with CASNotExecuted.
-func sentinelMap(n int) []byte {
-	res := make([]byte, 8*n)
+// sentinelMap fills the head of dst with an n-entry result map of
+// CASNotExecuted and returns its size in bytes.
+func sentinelMap(dst []byte, n int) int {
 	for i := 0; i < n; i++ {
-		putLE64(res[8*i:], CASNotExecuted)
+		putLE64(dst[8*i:], CASNotExecuted)
 	}
-	return res
+	return 8 * n
 }
 
 // memcpyImage is hop i's NIC-local copy from srcOff to dstOff within its
 // own store, issued over the loopback QP (§4.2, Figure 7).
-func (c *channel) memcpyImage(i int, o *op, k int) []byte {
+func (c *channel) memcpyImage(dst []byte, i int, o *op, k int) {
 	self := c.g.replicas[i]
-	return (&rdma.WQE{
+	(&rdma.WQE{
 		Opcode: rdma.OpWrite, Signaled: true, HWOwned: true, WRID: uint64(k),
 		RKey: self.Store.RKey(), RAddr: uint64(o.off),
 		SGEs: []rdma.SGE{{LKey: self.Store.LKey(), Offset: uint64(o.src), Length: uint32(o.size)}},
-	}).EncodeImage()
+	}).Encode(dst)
 }
 
-func nopImage() []byte {
-	return (&rdma.WQE{Opcode: rdma.OpNop, Signaled: true, HWOwned: true}).EncodeImage()
+func nopImage(dst []byte) {
+	(&rdma.WQE{Opcode: rdma.OpNop, Signaled: true, HWOwned: true}).Encode(dst)
 }

@@ -151,12 +151,9 @@ func (c *channel) issueLoop(o *op) {
 		})
 	}
 	// Metadata into staging slot 0 (attempts reuse it; see stagingOff).
-	msg := c.buildMetadata(o, 0)
-	c.cliStaging.Backing().WriteAt(0, msg)
+	c.buildMetadata(c.cliStagingRAM[:c.msgHead], o, 0)
 	// Retry budget for the NIC to decrement.
-	var buf [8]byte
-	putLE64(buf[:], uint64(o.loop.Budget))
-	c.ctrlMR.Backing().WriteAt(0, buf[:])
+	putLE64(c.ctrlRAM, uint64(o.loop.Budget))
 	// Patch the parked CondRearm: exit condition and guard-word address.
 	sq := c.cliQP.SQTable()
 	sq.PatchSlotU64(c.tplCond, rdma.SlotOffImm, o.loop.ExitWant)
@@ -201,9 +198,7 @@ func (c *channel) completeLoop(err error) {
 	}
 	o := c.pending[0]
 	c.pending = c.pending[1:]
-	var buf [8]byte
-	c.ctrlMR.Backing().ReadAt(0, buf[:])
-	remaining := le64(buf[:])
+	remaining := le64(c.ctrlRAM)
 	o.attempts = o.loop.Budget - int(remaining) + 1
 	c.loopAttempts += uint64(o.attempts)
 	c.acked++
@@ -215,29 +210,30 @@ func (c *channel) completeLoop(err error) {
 // execute map skips it). Like casImage, the observed value scatters into
 // the hop's staging result field, which the chain accumulates into the map
 // the CondRearm's exit test reads.
-func (c *channel) loopImage(i int, o *op, k int) []byte {
+func (c *channel) loopImage(dst []byte, i int, o *op, k int) {
 	if !o.exec.Has(i) {
-		return nopImage()
+		nopImage(dst)
+		return
 	}
 	self := c.g.replicas[i]
 	resOff := c.stagingOff(i, k) + c.resultFieldOff(i)
 	scatter := []rdma.SGE{{LKey: c.hops[i].staging.LKey(), Offset: uint64(resOff), Length: 8}}
 	switch o.loop.Kind {
 	case LoopMaskFAdd:
-		return (&rdma.WQE{
+		(&rdma.WQE{
 			Opcode: rdma.OpMaskFAdd, Signaled: true, HWOwned: true, WRID: uint64(k),
 			RKey: self.Store.RKey(), RAddr: uint64(o.loop.Off),
 			Imm: o.loop.Add, Swap: o.loop.FieldMask,
 			ProgA: o.loop.GuardWant, ProgB: o.loop.GuardMask,
 			SGEs: scatter,
-		}).EncodeImage()
+		}).Encode(dst)
 	default: // LoopCAS
-		return (&rdma.WQE{
+		(&rdma.WQE{
 			Opcode: rdma.OpCompSwap, Signaled: true, HWOwned: true, WRID: uint64(k),
 			RKey: self.Store.RKey(), RAddr: uint64(o.loop.Off),
 			Imm: o.loop.Old, Swap: o.loop.New,
 			SGEs: scatter,
-		}).EncodeImage()
+		}).Encode(dst)
 	}
 }
 
@@ -245,29 +241,29 @@ func (c *channel) loopImage(i int, o *op, k int) []byte {
 // export the observed value into the staging result field, and on mismatch
 // skip the WRITE that follows (which still delivers a PredFail CQE, keeping
 // the downstream WAIT count constant).
-func (c *channel) guardImage(i int, o *op, k int) []byte {
+func (c *channel) guardImage(dst []byte, i int, o *op, k int) {
 	self := c.g.replicas[i]
 	resOff := c.stagingOff(i, k) + c.resultFieldOff(i)
-	return (&rdma.WQE{
+	(&rdma.WQE{
 		Opcode: rdma.OpGuard, Signaled: true, HWOwned: true, WRID: uint64(k),
 		Imm: o.guardWant, ProgB: o.guardMask, ProgA: 1,
 		SGEs: []rdma.SGE{
 			{LKey: self.Store.LKey(), Offset: uint64(o.guardOff), Length: 8},
 			{LKey: c.hops[i].staging.LKey(), Offset: uint64(resOff), Length: 8},
 		},
-	}).EncodeImage()
+	}).Encode(dst)
 }
 
 // writeIfImage is hop i's predicated WRITE: gather the payload carried in
 // its staging area and write it into its own store at the target offset.
-func (c *channel) writeIfImage(i int, o *op, k int) []byte {
+func (c *channel) writeIfImage(dst []byte, i int, o *op, k int) {
 	self := c.g.replicas[i]
 	payOff := c.stagingOff(i, k) + c.payloadOff(i)
-	return (&rdma.WQE{
+	(&rdma.WQE{
 		Opcode: rdma.OpWrite, Signaled: true, HWOwned: true, WRID: uint64(k),
 		RKey: self.Store.RKey(), RAddr: uint64(o.off),
 		SGEs: []rdma.SGE{{LKey: c.hops[i].staging.LKey(), Offset: uint64(payOff), Length: uint32(o.size)}},
-	}).EncodeImage()
+	}).Encode(dst)
 }
 
 // payloadOff locates the carried payload within hop i's staging area:

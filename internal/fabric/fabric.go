@@ -99,6 +99,40 @@ type Network struct {
 
 	delivered uint64
 	dropped   uint64
+
+	// free is the delivery-record free list. It belongs to this network's
+	// engine, so under a PartitionedEngine it is partition-local.
+	free *delivery
+}
+
+// delivery is one in-flight message: the engine event that hands msg to the
+// destination port at its arrival instant. Records are recycled through
+// Network.free; Fire releases the record before running the handler.
+type delivery struct {
+	net  *Network
+	msg  Message
+	next *delivery // free-list link
+}
+
+// Fire delivers the message, unless the link was cut while it was in flight.
+func (d *delivery) Fire() {
+	n, msg := d.net, d.msg
+	if n == nil {
+		panic("fabric: released delivery fired")
+	}
+	d.net, d.msg = nil, Message{} // poison: a second Fire panics above
+	d.next, n.free = n.free, d
+	if n.isCut(msg.From, msg.To) {
+		n.dropped++
+		return
+	}
+	n.delivered++
+	n.ports[msg.To].handler(msg)
+}
+
+// isCut reports whether the directed link a→b is severed.
+func (n *Network) isCut(a, b NodeID) bool {
+	return len(n.cut) != 0 && n.cut[[2]NodeID{a, b}]
 }
 
 // New creates a network on the given engine. r may be nil for a default
@@ -138,7 +172,7 @@ func (n *Network) Send(msg Message) {
 	if int(msg.From) >= len(n.ports) || int(msg.To) >= len(n.ports) || msg.From < 0 || msg.To < 0 {
 		panic(fmt.Sprintf("fabric: send %d -> %d with %d nodes", msg.From, msg.To, len(n.ports)))
 	}
-	if n.cut[[2]NodeID{msg.From, msg.To}] {
+	if n.isCut(msg.From, msg.To) {
 		n.dropped++
 		return
 	}
@@ -163,14 +197,14 @@ func (n *Network) Send(msg Message) {
 	dst.rxBytes += uint64(msg.Size)
 	dst.messages++
 
-	n.eng.ScheduleAt(rxEnd, func() {
-		if n.cut[[2]NodeID{msg.From, msg.To}] {
-			n.dropped++
-			return
-		}
-		n.delivered++
-		dst.handler(msg)
-	})
+	d := n.free
+	if d == nil {
+		d = &delivery{}
+	} else {
+		n.free = d.next
+	}
+	d.net, d.msg, d.next = n, msg, nil
+	n.eng.ScheduleEventAt(rxEnd, d)
 }
 
 // Cut severs the directed link a→b; in-flight messages are dropped at

@@ -302,3 +302,74 @@ func TestConfigLookaheadBounds(t *testing.T) {
 		t.Fatalf("delivery %v, Latency-based prediction %v", got, want)
 	}
 }
+
+// A steady-state Send and its delivery allocate nothing: the delivery record
+// comes from the network's free list and goes back when it fires.
+func TestSendDeliverAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	net := newNet(eng)
+	got := 0
+	a := net.Attach(func(Message) {})
+	b := net.Attach(func(Message) { got++ })
+	payload := &got // pointer-shaped, like an rdma packet: boxing it is free
+	send := func() {
+		net.Send(Message{From: a, To: b, Size: 1024, Payload: payload})
+		eng.Drain()
+	}
+	send() // first record, first engine slot
+	if n := testing.AllocsPerRun(1000, send); n != 0 {
+		t.Errorf("Send+deliver allocates %v/op, want 0", n)
+	}
+	if got != 1002 {
+		t.Fatalf("delivered %d messages", got)
+	}
+}
+
+// A delivery record is poisoned when it returns to the free list, so firing
+// one a second time panics instead of delivering a recycled message.
+func TestReleasedDeliveryPoisoned(t *testing.T) {
+	eng := sim.NewEngine()
+	net := newNet(eng)
+	a := net.Attach(func(Message) {})
+	b := net.Attach(func(Message) {})
+	net.Send(Message{From: a, To: b, Size: 64, Payload: "x"})
+	eng.Drain()
+	d := net.free
+	if d == nil || d.net != nil || d.msg.Payload != nil {
+		t.Fatalf("released delivery not poisoned: %+v", d)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("firing a released delivery did not panic")
+		}
+	}()
+	d.Fire()
+}
+
+// Every message is released exactly once whether it is delivered or dropped
+// by a cut made while it was in flight: the free list ends up holding each
+// record once.
+func TestDeliveryReleasedOnceWhenCut(t *testing.T) {
+	eng := sim.NewEngine()
+	net := newNet(eng)
+	a := net.Attach(func(Message) {})
+	b := net.Attach(func(Message) {})
+	for i := 0; i < 3; i++ {
+		net.Send(Message{From: a, To: b, Size: 64})
+	}
+	net.Cut(a, b)
+	eng.Drain()
+	if net.Dropped() != 3 {
+		t.Fatalf("dropped = %d, want 3", net.Dropped())
+	}
+	seen := map[*delivery]bool{}
+	for d := net.free; d != nil; d = d.next {
+		if seen[d] {
+			t.Fatal("delivery record on the free list twice")
+		}
+		seen[d] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("free list holds %d records, want 3", len(seen))
+	}
+}

@@ -26,7 +26,8 @@ type CQ struct {
 	entries   []CQE
 	total     uint64 // completions ever pushed (monotone; WAIT watches this)
 	cb        func(CQE)
-	waiters   []func() // queues stalled on a WAIT against this CQ
+	waiters   []*QP // queues stalled on a head WAIT against this CQ
+	woken     []*QP // spare backing array: push swaps it with waiters so steady-state wake-ups allocate nothing
 	autoDrain bool
 
 	// Timer CQs (CreateTimerCQ) self-complete on a fixed virtual-time grid
@@ -89,19 +90,24 @@ func (c *CQ) push(e CQE) {
 		c.cb(e)
 	}
 	if len(c.waiters) > 0 {
+		// Waking a queue can re-enter push on this CQ; the nested call finds
+		// woken nil and simply allocates, so the two lists never alias.
 		ws := c.waiters
-		c.waiters = nil
-		for _, w := range ws {
-			w()
+		c.waiters, c.woken = c.woken[:0], nil
+		for _, q := range ws {
+			q.waiting = false
+			q.nic.kick(q)
 		}
+		clear(ws)
+		c.woken = ws[:0]
 	}
 }
 
-// addWaiter registers a re-kick callback for a queue blocked on this CQ.
-// Waiting on a timer CQ lazily arms its next grid tick: an idle timer
-// (nothing waiting) costs no events at all.
-func (c *CQ) addWaiter(fn func()) {
-	c.waiters = append(c.waiters, fn)
+// addWaiter registers q, whose head WAIT watches this CQ, for a re-kick on
+// the next completion. Waiting on a timer CQ lazily arms its next grid tick:
+// an idle timer (nothing waiting) costs no events at all.
+func (c *CQ) addWaiter(q *QP) {
+	c.waiters = append(c.waiters, q)
 	c.armTimer()
 }
 
@@ -115,9 +121,16 @@ func (c *CQ) armTimer() {
 	c.timerArmed = true
 	now := c.nic.eng.Now()
 	next := sim.Time(0).Add((sim.Duration(now)/c.timerPeriod + 1) * c.timerPeriod)
-	c.nic.eng.ScheduleAt(next, func() {
-		c.timerArmed = false
-		c.nic.counters.TimerTicks++
-		c.push(CQE{Opcode: OpNop, Status: StatusSuccess})
-	})
+	c.nic.eng.ScheduleEventAt(next, (*cqTick)(c))
+}
+
+// cqTick is a timer CQ viewed as its own tick event; timerArmed guarantees
+// at most one is scheduled.
+type cqTick CQ
+
+func (t *cqTick) Fire() {
+	c := (*CQ)(t)
+	c.timerArmed = false
+	c.nic.counters.TimerTicks++
+	c.push(CQE{Opcode: OpNop, Status: StatusSuccess})
 }

@@ -87,6 +87,10 @@ type MemoryRegion struct {
 	// onWrite, if set, observes every NIC write into the region. WQE
 	// tables use it to notice remotely-manipulated descriptors.
 	onWrite func(off, n int)
+	// word stages the NIC's 8-byte local accesses (atomics, program
+	// operands): a stack buffer would escape through the Backing interface
+	// and cost an allocation per access.
+	word [8]byte
 }
 
 // LKey returns the local access key.
@@ -116,4 +120,17 @@ func (m *MemoryRegion) write(off int, src []byte) {
 // read copies out of the region.
 func (m *MemoryRegion) read(off int, dst []byte) {
 	m.backing.ReadAt(off, dst)
+}
+
+// readU64 fetches the little-endian word at off (bounds validated by the
+// caller).
+func (m *MemoryRegion) readU64(off int) uint64 {
+	m.backing.ReadAt(off, m.word[:])
+	return le64(m.word[:])
+}
+
+// writeU64 performs a NIC write of the little-endian word v at off.
+func (m *MemoryRegion) writeU64(off int, v uint64) {
+	putLE64(m.word[:], v)
+	m.write(off, m.word[:])
 }

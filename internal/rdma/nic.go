@@ -12,7 +12,8 @@ import (
 type packetKind uint8
 
 const (
-	pkSend packetKind = iota + 1
+	pkFree packetKind = iota // released to a free list; see NIC.releasePacket
+	pkSend
 	pkWrite
 	pkWriteImm
 	pkRead
@@ -23,15 +24,33 @@ const (
 	pkCASResp  // carries the original value back (CAS and MaskFAdd)
 )
 
+// pktStage says which step of its journey a scheduled packet performs when
+// the engine fires it.
+type pktStage uint8
+
+const (
+	stProcess  pktStage = iota // Rx processing done: execute at the receiving NIC
+	stLoopback                 // local DMA hop done: arrive at the own NIC
+	stRespond                  // responder-side op cost paid: send the response
+)
+
 // packet is the simulation's wire unit. Payloads travel by reference; the
 // fabric charges serialization time for the declared size.
+//
+// Lifetime: a packet is taken from a NIC's free list (newPacket), travels as
+// a fabric payload and as its own engine event (Fire), and is released
+// exactly once, by the NIC that consumes it — a request when the responder
+// has executed it, a response when its completion is delivered (or when no
+// request is waiting for it). A packet a cut link drops is simply never
+// released. Released packets are poisoned (pkFree, nil data) so a use after
+// release panics instead of reading recycled state.
 type packet struct {
 	kind    packetKind
 	srcQPN  uint32
 	dstQPN  uint32
 	rkey    uint32
 	raddr   uint64
-	data    []byte
+	data    []byte // payload; aliases buf
 	imm     uint64
 	compare uint64
 	swap    uint64
@@ -39,11 +58,69 @@ type packet struct {
 	readLen int
 	reqID   uint64
 	status  Status
+
+	stage pktStage
+	nic   *NIC    // the NIC this packet is currently a scheduled event of
+	qp    *QP     // stRespond: queue pair the response leaves on
+	wire  int     // stRespond: bytes charged on the wire
+	buf   []byte  // payload storage, kept across reuse
+	word  [8]byte // staging for an atomic's original value at delivery
+	next  *packet // free-list link
+}
+
+// Fire runs the packet's scheduled step.
+func (p *packet) Fire() {
+	if p.kind == pkFree {
+		panic("rdma: released packet fired")
+	}
+	switch p.stage {
+	case stProcess:
+		p.nic.process(p)
+	case stLoopback:
+		p.nic.handlePacket(p)
+	case stRespond:
+		p.nic.transmit(p.qp, p, p.wire)
+	}
+}
+
+// payload sizes the packet's data to n bytes of its reusable buffer.
+func (p *packet) payload(n int) []byte {
+	if cap(p.buf) < n {
+		p.buf = make([]byte, n)
+	}
+	p.data = p.buf[:n]
+	return p.data
+}
+
+// newPacket takes a zeroed packet from the NIC's free list. The list is
+// owned by the NIC, hence by its engine: under a PartitionedEngine it is
+// partition-local and needs no lock.
+func (n *NIC) newPacket(kind packetKind) *packet {
+	p := n.freePkts
+	if p == nil {
+		return &packet{kind: kind}
+	}
+	n.freePkts = p.next
+	*p = packet{kind: kind, buf: p.buf}
+	return p
+}
+
+// releasePacket returns a consumed packet to the free list, poisoned.
+func (n *NIC) releasePacket(p *packet) {
+	if p.kind == pkFree {
+		panic("rdma: packet released twice")
+	}
+	*p = packet{buf: p.buf, next: n.freePkts}
+	n.freePkts = p
 }
 
 // TraceEvent is one NIC-level action, emitted to an attached Tracer. The
 // stream narrates exactly what the hardware does per operation — which is
 // the paper's §4 argument made visible.
+//
+// The detail text is not built when the event is emitted: the event carries
+// the typed operands and Info renders them on demand, so a tracer that only
+// counts or classifies events never pays for formatting.
 type TraceEvent struct {
 	At   sim.Time
 	Node fabric.NodeID
@@ -51,11 +128,53 @@ type TraceEvent struct {
 	QPN  uint32
 	Op   Opcode
 	WRID uint64
-	Info string
+
+	detail  traceDetail
+	a, b, c uint64 // operands of detail, in the order Info prints them
+}
+
+// traceDetail selects the text Info renders.
+type traceDetail uint8
+
+const (
+	detailNone      traceDetail = iota
+	detailHostOwned             // stall: head slot is host-owned
+	detailWaitFired             // wait: a = CQ id, b = count
+	detailExec                  // exec: a = remote address, b = gather length
+	detailGuardPass             // prog: a = observed word
+	detailGuardSkip             // prog: a = slots skipped, b = observed word
+	detailLoopExit              // prog: a = Status, b = observed word, c = exit slot
+	detailLoopRetry             // prog: a = observed word, b = budget left, c = retry slot
+	detailRx                    // rx: a = packetKind, b = payload bytes, c = remote address
+)
+
+// Info renders the event's detail text.
+func (e TraceEvent) Info() string {
+	switch e.detail {
+	case detailHostOwned:
+		return "host-owned"
+	case detailWaitFired:
+		return fmt.Sprintf("fired cq=%d count=%d", e.a, e.b)
+	case detailExec:
+		return fmt.Sprintf("raddr=%d len=%d", e.a, e.b)
+	case detailGuardPass:
+		return fmt.Sprintf("pass obs=%x", e.a)
+	case detailGuardSkip:
+		return fmt.Sprintf("skip %d obs=%x", e.a, e.b)
+	case detailLoopExit:
+		return fmt.Sprintf("%s obs=%x exit=%d", Status(e.a), e.b, e.c)
+	case detailLoopRetry:
+		return fmt.Sprintf("retry obs=%x budget=%d target=%d", e.a, e.b, e.c)
+	case detailRx:
+		return fmt.Sprintf("%s %dB raddr=%d", pktKindName(packetKind(e.a)), e.b, e.c)
+	default:
+		return ""
+	}
 }
 
 // Tracer receives trace events. Implementations must be cheap; tracing is
-// disabled when no tracer is attached.
+// disabled when no tracer is attached, and an attached tracer that never
+// calls Info pays for no formatting.
 type Tracer func(TraceEvent)
 
 // Counters aggregates NIC activity for the evaluation's CPU/offload
@@ -105,6 +224,8 @@ type NIC struct {
 	// given instant; slowdown (>1) scales per-unit processing costs.
 	stallUntil sim.Time
 	slowdown   float64
+
+	freePkts *packet // see newPacket
 }
 
 // StallFor freezes the NIC's processing pipelines for d from now: work
@@ -148,9 +269,10 @@ func (n *NIC) stallStart(t sim.Time) sim.Time {
 // SetTracer attaches fn to receive NIC-level trace events (nil detaches).
 func (n *NIC) SetTracer(fn Tracer) { n.tracer = fn }
 
-func (n *NIC) trace(kind string, qpn uint32, op Opcode, wrid uint64, info string) {
+func (n *NIC) trace(kind string, qpn uint32, op Opcode, wrid uint64, detail traceDetail, a, b, c uint64) {
 	if n.tracer != nil {
-		n.tracer(TraceEvent{At: n.eng.Now(), Node: n.node, Kind: kind, QPN: qpn, Op: op, WRID: wrid, Info: info})
+		n.tracer(TraceEvent{At: n.eng.Now(), Node: n.node, Kind: kind, QPN: qpn, Op: op, WRID: wrid,
+			detail: detail, a: a, b: b, c: c})
 	}
 }
 
@@ -291,6 +413,10 @@ const maxInlineProgSteps = 1 << 16
 // unsatisfied ones or host-owned slots, interprets program control ops
 // (guard skips, conditional re-arm branches) inline, and initiates
 // executable WQEs.
+//
+// wqe is the table's own decode of the head slot, good until the next peek.
+// Delivering a completion can re-enter the host and, through a new post,
+// this function — so no branch reads wqe after deliverInOrder.
 func (n *NIC) advanceSQ(q *QP) {
 	steps := 0
 	for {
@@ -304,7 +430,7 @@ func (n *NIC) advanceSQ(q *QP) {
 			return
 		}
 		if !wqe.HWOwned {
-			n.trace("stall", q.qpn, wqe.Opcode, wqe.WRID, "host-owned")
+			n.trace("stall", q.qpn, wqe.Opcode, wqe.WRID, detailHostOwned, 0, 0, 0)
 			return // host-owned: wait for doorbell or remote grant
 		}
 		switch wqe.Opcode {
@@ -318,35 +444,20 @@ func (n *NIC) advanceSQ(q *QP) {
 			if cq.total < need {
 				if !q.waiting {
 					q.waiting = true
-					cq.addWaiter(func() {
-						q.waiting = false
-						n.kick(q)
-					})
+					cq.addWaiter(q)
 				}
 				return
 			}
-			n.trace("wait", q.qpn, OpWait, wqe.WRID, fmt.Sprintf("fired cq=%d count=%d", wqe.WaitCQ, wqe.WaitCount))
+			n.trace("wait", q.qpn, OpWait, wqe.WRID, detailWaitFired, uint64(wqe.WaitCQ), uint64(wqe.WaitCount), 0)
 			q.waitConsumed[wqe.WaitCQ] = need
 			q.sq.advance()
 			if wqe.Signaled {
-				seq := q.execSeq
-				q.execSeq++
-				wqe := wqe
-				q.deliverInOrder(seq, func() {
-					q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpWait, Status: StatusSuccess, QPN: q.qpn})
-				})
+				q.deliverInOrder(q.nextExecSeq(), q.plainCompletion(wqe.WRID, OpWait, StatusSuccess, 0, true))
 			}
 			continue
 		case OpNop:
 			q.sq.advance()
-			seq := q.execSeq
-			q.execSeq++
-			wqe := wqe
-			q.deliverInOrder(seq, func() {
-				if wqe.Signaled {
-					q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpNop, Status: StatusSuccess, QPN: q.qpn})
-				}
-			})
+			q.deliverInOrder(q.nextExecSeq(), q.plainCompletion(wqe.WRID, OpNop, StatusSuccess, 0, wqe.Signaled))
 			continue
 		case OpGuard:
 			if !n.execGuard(q, wqe) {
@@ -359,43 +470,42 @@ func (n *NIC) advanceSQ(q *QP) {
 			}
 			continue
 		default:
-			n.trace("exec", q.qpn, wqe.Opcode, wqe.WRID,
-				fmt.Sprintf("raddr=%d len=%d", wqe.RAddr, totalSGELen(wqe.SGEs)))
+			gatherLen := totalSGELen(wqe.SGEs)
+			n.trace("exec", q.qpn, wqe.Opcode, wqe.WRID, detailExec, wqe.RAddr, uint64(gatherLen), 0)
 			q.sq.advance()
 			q.sqBusy = true
 			n.counters.WQEsExecuted++
-			gatherLen := 0
-			for _, sge := range wqe.SGEs {
-				gatherLen += int(sge.Length)
-			}
 			cost := n.scaledCost(n.cfg.WQEProcess + n.cfg.dmaTime(gatherLen) + q.takeDoorbellCharge())
-			wqeCopy := wqe
-			seq := q.execSeq
-			q.execSeq++
-			n.eng.ScheduleAt(n.stallStart(n.eng.Now()).Add(cost), func() {
-				q.sqBusy = false
-				n.initiate(q, wqeCopy, seq)
-				n.advanceSQ(q)
-			})
+			// The descriptor is fetched now; the slot may be rewritten (and
+			// the table's WQE reused) before the initiation event fires.
+			q.cur = *wqe
+			q.cur.SGEs = q.curSGEs[:copy(q.curSGEs[:], wqe.SGEs)]
+			q.curSeq = q.nextExecSeq()
+			n.eng.ScheduleEventAt(n.stallStart(n.eng.Now()).Add(cost), (*qpExec)(q))
 			return
 		}
 	}
 }
 
-// readLocalU64 fetches the 8-byte word addressed by w.SGEs[i] from local
-// registered memory.
-func (n *NIC) readLocalU64(w WQE, i int) (uint64, bool) {
-	if len(w.SGEs) <= i {
-		return 0, false
-	}
-	sge := w.SGEs[i]
+// qpExec is a QP viewed as the event that ends its current WQE's initiation
+// cost; sqBusy guarantees at most one is scheduled.
+type qpExec QP
+
+func (x *qpExec) Fire() {
+	q := (*QP)(x)
+	q.sqBusy = false
+	q.nic.initiate(q, &q.cur, q.curSeq)
+	q.nic.advanceSQ(q)
+}
+
+// readLocalU64 fetches the 8-byte word sge addresses in local registered
+// memory.
+func (n *NIC) readLocalU64(sge SGE) (uint64, bool) {
 	mr := n.mrsByLKey[sge.LKey]
 	if mr == nil || !mr.contains(int(sge.Offset), 8) {
 		return 0, false
 	}
-	var b [8]byte
-	mr.read(int(sge.Offset), b[:])
-	return le64(b[:]), true
+	return mr.readU64(int(sge.Offset)), true
 }
 
 // writeLocalU64 stores v at the location addressed by sge.
@@ -404,10 +514,18 @@ func (n *NIC) writeLocalU64(sge SGE, v uint64) bool {
 	if mr == nil || !mr.contains(int(sge.Offset), 8) {
 		return false
 	}
-	var b [8]byte
-	putLE64(b[:], v)
-	mr.write(int(sge.Offset), b[:])
+	mr.writeU64(int(sge.Offset), v)
 	return true
+}
+
+// progOperands copies a program op's header and first two SGEs out of the
+// table's WQE: the interpreters below write local memory and peek further
+// slots, either of which may reuse that WQE under them.
+func progOperands(wqe *WQE) (w WQE, nsge int, sges [2]SGE) {
+	w = *wqe
+	nsge = copy(sges[:], wqe.SGEs)
+	w.SGEs = nil
+	return w, nsge, sges
 }
 
 // execGuard interprets an OpGuard slot: compare the local word at SGEs[0]
@@ -417,13 +535,18 @@ func (n *NIC) writeLocalU64(sge SGE, v uint64) bool {
 // counts stay constant either way. SGEs[1], when present, receives the
 // observed word — how a predicated chain exports its evidence. Returns
 // false when the QP entered error state.
-func (n *NIC) execGuard(q *QP, wqe WQE) bool {
-	obs, ok := n.readLocalU64(wqe, 0)
+func (n *NIC) execGuard(q *QP, head *WQE) bool {
+	wqe, nsge, sges := progOperands(head)
+	if nsge < 1 {
+		q.enterError()
+		return false
+	}
+	obs, ok := n.readLocalU64(sges[0])
 	if !ok {
 		q.enterError()
 		return false
 	}
-	if len(wqe.SGEs) > 1 && !n.writeLocalU64(wqe.SGEs[1], obs) {
+	if nsge > 1 && !n.writeLocalU64(sges[1], obs) {
 		q.enterError()
 		return false
 	}
@@ -438,19 +561,14 @@ func (n *NIC) execGuard(q *QP, wqe WQE) bool {
 		st = StatusPredFail
 	}
 	if wqe.Signaled {
-		seq := q.execSeq
-		q.execSeq++
-		wqe := wqe
-		q.deliverInOrder(seq, func() {
-			q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpGuard, Status: st, QPN: q.qpn, Imm: obs})
-		})
+		q.deliverInOrder(q.nextExecSeq(), q.plainCompletion(wqe.WRID, OpGuard, st, obs, true))
 	}
 	if matched {
-		n.trace("prog", q.qpn, OpGuard, wqe.WRID, fmt.Sprintf("pass obs=%x", obs))
+		n.trace("prog", q.qpn, OpGuard, wqe.WRID, detailGuardPass, obs, 0, 0)
 		return true
 	}
 	n.counters.ProgBranches++
-	n.trace("prog", q.qpn, OpGuard, wqe.WRID, fmt.Sprintf("skip %d obs=%x", wqe.ProgA, obs))
+	n.trace("prog", q.qpn, OpGuard, wqe.WRID, detailGuardSkip, wqe.ProgA, obs, 0)
 	for s := uint64(0); s < wqe.ProgA; s++ {
 		sk, ok := q.sq.peek()
 		if !ok {
@@ -458,12 +576,7 @@ func (n *NIC) execGuard(q *QP, wqe WQE) bool {
 		}
 		q.sq.advance()
 		if sk.Signaled {
-			seq := q.execSeq
-			q.execSeq++
-			sk := sk
-			q.deliverInOrder(seq, func() {
-				q.sendCQ.push(CQE{WRID: sk.WRID, Opcode: sk.Opcode, Status: StatusPredFail, QPN: q.qpn})
-			})
+			q.deliverInOrder(q.nextExecSeq(), q.plainCompletion(sk.WRID, sk.Opcode, StatusPredFail, 0, true))
 		}
 	}
 	return true
@@ -487,8 +600,13 @@ func (n *NIC) execGuard(q *QP, wqe WQE) bool {
 // cleared), so a template program parks at its gate after the exit branch
 // until the host doorbells the next operation — template reuse with zero
 // re-posting. Returns false when the QP entered error state.
-func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
-	obs, ok := n.readLocalU64(wqe, 0)
+func (n *NIC) execCondRearm(q *QP, head *WQE) bool {
+	wqe, nsge, sges := progOperands(head)
+	if nsge < 1 {
+		q.enterError()
+		return false
+	}
+	obs, ok := n.readLocalU64(sges[0])
 	if !ok {
 		q.enterError()
 		return false
@@ -541,15 +659,9 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 		return true
 	}
 	final := func(st Status) {
-		if !wqe.Signaled {
-			return
+		if wqe.Signaled {
+			q.deliverInOrder(q.nextExecSeq(), q.plainCompletion(wqe.WRID, OpCondRearm, st, obs, true))
 		}
-		seq := q.execSeq
-		q.execSeq++
-		wqe := wqe
-		q.deliverInOrder(seq, func() {
-			q.sendCQ.push(CQE{WRID: wqe.WRID, Opcode: OpCondRearm, Status: st, QPN: q.qpn, Imm: obs})
-		})
 	}
 	exit := func(st Status) bool {
 		// Restore the backoff WAIT to its encoded base count (Imm) so the
@@ -574,7 +686,7 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 		if !branch(target) {
 			return false
 		}
-		n.trace("prog", q.qpn, OpCondRearm, wqe.WRID, fmt.Sprintf("%s obs=%x exit=%d", st, obs, target))
+		n.trace("prog", q.qpn, OpCondRearm, wqe.WRID, detailLoopExit, uint64(st), obs, uint64(target))
 		final(st)
 		return true
 	}
@@ -582,7 +694,11 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 	if matched {
 		return exit(StatusSuccess)
 	}
-	budget, ok := n.readLocalU64(wqe, 1)
+	if nsge < 2 {
+		q.enterError()
+		return false
+	}
+	budget, ok := n.readLocalU64(sges[1])
 	if !ok {
 		q.enterError()
 		return false
@@ -590,7 +706,7 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 	if budget == 0 {
 		return exit(StatusRetryExhausted)
 	}
-	if !n.writeLocalU64(wqe.SGEs[1], budget-1) {
+	if !n.writeLocalU64(sges[1], budget-1) {
 		q.enterError()
 		return false
 	}
@@ -617,88 +733,124 @@ func (n *NIC) execCondRearm(q *QP, wqe WQE) bool {
 	if !branch(target) {
 		return false
 	}
-	n.trace("prog", q.qpn, OpCondRearm, wqe.WRID,
-		fmt.Sprintf("retry obs=%x budget=%d target=%d", obs, budget-1, target))
+	n.trace("prog", q.qpn, OpCondRearm, wqe.WRID, detailLoopRetry, obs, budget-1, uint64(target))
 	return true
 }
 
-// gather concatenates the WQE's scatter/gather entries from local MRs.
-func (n *NIC) gather(q *QP, w WQE) ([]byte, Status) {
-	var out []byte
-	for _, sge := range w.SGEs {
+// gather reads the WQE's scatter/gather entries from local MRs straight into
+// pkt's payload buffer.
+func (n *NIC) gather(pkt *packet, w *WQE) Status {
+	var mrs [MaxSGE]*MemoryRegion
+	total := 0
+	for i, sge := range w.SGEs {
 		mr := n.mrsByLKey[sge.LKey]
-		if mr == nil {
-			return nil, StatusLocalProtErr
+		if mr == nil || !mr.contains(int(sge.Offset), int(sge.Length)) {
+			return StatusLocalProtErr
 		}
-		if !mr.contains(int(sge.Offset), int(sge.Length)) {
-			return nil, StatusLocalProtErr
-		}
-		buf := make([]byte, sge.Length)
-		mr.read(int(sge.Offset), buf)
-		out = append(out, buf...)
+		mrs[i] = mr
+		total += int(sge.Length)
 	}
-	return out, StatusSuccess
+	buf := pkt.payload(total)
+	for i, sge := range w.SGEs {
+		mrs[i].read(int(sge.Offset), buf[:sge.Length])
+		buf = buf[sge.Length:]
+	}
+	return StatusSuccess
+}
+
+// scatter copies data, in order, into the local regions sges address. It
+// returns how many bytes found no room, and StatusLocalProtErr if an entry
+// it needed was not a valid local target.
+func (n *NIC) scatter(sges []SGE, data []byte) (left int, st Status) {
+	for _, sge := range sges {
+		if len(data) == 0 {
+			break
+		}
+		mr := n.mrsByLKey[sge.LKey]
+		if mr == nil || !mr.contains(int(sge.Offset), min(int(sge.Length), len(data))) {
+			return len(data), StatusLocalProtErr
+		}
+		chunk := data
+		if len(chunk) > int(sge.Length) {
+			chunk = chunk[:sge.Length]
+		}
+		mr.write(int(sge.Offset), chunk)
+		data = data[len(chunk):]
+	}
+	return len(data), StatusSuccess
+}
+
+// requestKind maps a send-queue opcode to the request packet it initiates;
+// pkFree for opcodes that put nothing on the wire.
+func requestKind(op Opcode) packetKind {
+	switch op {
+	case OpSend:
+		return pkSend
+	case OpWrite:
+		return pkWrite
+	case OpWriteImm:
+		return pkWriteImm
+	case OpRead:
+		return pkRead
+	case OpCompSwap:
+		return pkCAS
+	case OpMaskFAdd:
+		return pkMaskFAdd
+	default:
+		return pkFree
+	}
 }
 
 // initiate launches one non-WAIT WQE onto the wire (or loopback path). seq
-// is the WQE's execution order for in-order completion delivery.
-func (n *NIC) initiate(q *QP, w WQE, seq uint64) {
-	fail := func(st Status) {
-		q.deliverInOrder(seq, func() {
-			if w.Signaled {
-				q.sendCQ.push(CQE{WRID: w.WRID, Opcode: w.Opcode, Status: st, QPN: q.qpn})
-			}
-		})
-		q.enterError()
-	}
+// is the WQE's execution order for in-order completion delivery. A WQE that
+// cannot be launched completes in error locally and fails the queue.
+func (n *NIC) initiate(q *QP, w *WQE, seq uint64) {
 	q.nextReqID++
-	reqID := q.nextReqID
-	pkt := &packet{srcQPN: q.qpn, dstQPN: q.peerQPN, reqID: reqID}
-	switch w.Opcode {
-	case OpSend:
-		data, st := n.gather(q, w)
-		if st != StatusSuccess {
-			fail(st)
+	kind, st := requestKind(w.Opcode), StatusLocalProtErr
+	if kind != pkFree {
+		pkt := n.newPacket(kind)
+		pkt.srcQPN, pkt.dstQPN, pkt.reqID = q.qpn, q.peerQPN, q.nextReqID
+		if st = n.fillRequest(pkt, w); st == StatusSuccess {
+			p := pendingReq{seq: seq, wrid: w.WRID, opcode: w.Opcode, signaled: w.Signaled}
+			p.scatter.set(w.SGEs)
+			q.pending[pkt.reqID] = p
+			q.inFlight++
+			n.transmit(q, pkt, len(pkt.data))
 			return
 		}
-		pkt.kind, pkt.data, pkt.imm = pkSend, data, w.Imm
-	case OpWrite, OpWriteImm:
-		data, st := n.gather(q, w)
-		if st != StatusSuccess {
-			fail(st)
-			return
-		}
-		pkt.kind, pkt.data, pkt.rkey, pkt.raddr, pkt.imm = pkWrite, data, w.RKey, w.RAddr, w.Imm
-		if w.Opcode == OpWriteImm {
-			pkt.kind = pkWriteImm
-		}
-	case OpRead:
-		length := 0
-		for _, sge := range w.SGEs {
-			length += int(sge.Length)
-		}
-		pkt.kind, pkt.rkey, pkt.raddr, pkt.readLen = pkRead, w.RKey, w.RAddr, length
-	case OpCompSwap:
-		pkt.kind, pkt.rkey, pkt.raddr, pkt.compare, pkt.swap = pkCAS, w.RKey, w.RAddr, w.Imm, w.Swap
-	case OpMaskFAdd:
-		pkt.kind, pkt.rkey, pkt.raddr = pkMaskFAdd, w.RKey, w.RAddr
-		pkt.imm, pkt.swap, pkt.compare, pkt.gmask = w.Imm, w.Swap, w.ProgA, w.ProgB
-	default:
-		fail(StatusLocalProtErr)
-		return
+		n.releasePacket(pkt)
 	}
-	q.pending[reqID] = pendingReq{wqe: w, seq: seq}
-	q.inFlight++
-	n.transmit(q, pkt, len(pkt.data))
+	q.deliverInOrder(seq, q.plainCompletion(w.WRID, w.Opcode, st, 0, w.Signaled))
+	q.enterError()
+}
+
+// fillRequest loads w's operands (and, for SEND/WRITE, its gathered
+// payload) into the request packet.
+func (n *NIC) fillRequest(pkt *packet, w *WQE) Status {
+	switch pkt.kind {
+	case pkSend:
+		pkt.imm = w.Imm
+		return n.gather(pkt, w)
+	case pkWrite, pkWriteImm:
+		pkt.rkey, pkt.raddr, pkt.imm = w.RKey, w.RAddr, w.Imm
+		return n.gather(pkt, w)
+	case pkRead:
+		pkt.rkey, pkt.raddr, pkt.readLen = w.RKey, w.RAddr, totalSGELen(w.SGEs)
+	case pkCAS:
+		pkt.rkey, pkt.raddr, pkt.compare, pkt.swap = w.RKey, w.RAddr, w.Imm, w.Swap
+	case pkMaskFAdd:
+		pkt.rkey, pkt.raddr = w.RKey, w.RAddr
+		pkt.imm, pkt.swap, pkt.compare, pkt.gmask = w.Imm, w.Swap, w.ProgA, w.ProgB
+	}
+	return StatusSuccess
 }
 
 // transmit sends pkt toward q's peer, bypassing the fabric for loopback.
 func (n *NIC) transmit(q *QP, pkt *packet, size int) {
 	if q.loopback {
 		// Local DMA path: charge receive-side processing without wire time.
-		n.eng.Schedule(n.cfg.RxProcess, func() {
-			n.handlePacket(pkt)
-		})
+		pkt.nic, pkt.stage = n, stLoopback
+		n.eng.ScheduleEvent(n.cfg.RxProcess, pkt)
 		return
 	}
 	n.net.Send(fabric.Message{From: n.node, To: q.peerNode, Size: size, Payload: pkt})
@@ -727,24 +879,68 @@ func (n *NIC) handlePacket(pkt *packet) {
 	if q != nil {
 		q.rxFree = end
 	}
-	n.eng.ScheduleAt(end, func() { n.process(pkt) })
+	pkt.nic, pkt.stage = n, stProcess
+	n.eng.ScheduleEventAt(end, pkt)
 }
 
+// process executes an inbound packet. It is where a packet's journey ends:
+// a request is released once served, a response is handed to
+// completeRequest, which releases it when its completion is delivered.
 func (n *NIC) process(pkt *packet) {
 	q := n.qps[pkt.dstQPN]
 	if q == nil {
-		return // stale packet to a destroyed QP
+		n.releasePacket(pkt) // stale packet to a destroyed QP
+		return
 	}
-	n.trace("rx", pkt.dstQPN, 0, 0, fmt.Sprintf("%s %dB raddr=%d", pktKindName(pkt.kind), len(pkt.data), pkt.raddr))
+	n.trace("rx", pkt.dstQPN, 0, 0, detailRx, uint64(pkt.kind), uint64(len(pkt.data)), pkt.raddr)
+	switch pkt.kind {
+	case pkAck, pkReadResp, pkCASResp:
+		n.completeRequest(q, pkt)
+		return
+	}
+	n.serve(q, pkt)
+	n.releasePacket(pkt)
+}
+
+// response builds the reply to request req.
+func (n *NIC) response(kind packetKind, req *packet, st Status) *packet {
+	resp := n.newPacket(kind)
+	resp.dstQPN, resp.reqID, resp.status = req.srcQPN, req.reqID, st
+	return resp
+}
+
+// respondAfter sends resp back on q once the responder-side cost d of the
+// operation is paid.
+func (n *NIC) respondAfter(d sim.Duration, q *QP, resp *packet, size int) {
+	resp.nic, resp.stage, resp.qp, resp.wire = n, stRespond, q, size
+	n.eng.ScheduleEvent(d, resp)
+}
+
+// atomicTarget validates an inbound atomic's target word, returning the
+// region or the failure status.
+func (n *NIC) atomicTarget(pkt *packet) (*MemoryRegion, Status) {
+	mr := n.mrsByRKey[pkt.rkey]
+	switch {
+	case mr == nil:
+		return nil, StatusRemoteInvalidRkey
+	case mr.access&AccessRemoteAtomic == 0:
+		return nil, StatusRemoteAccessErr
+	case !mr.contains(int(pkt.raddr), 8):
+		return nil, StatusRemoteAccessErr
+	}
+	return mr, StatusSuccess
+}
+
+// serve executes an inbound request on the responder side.
+func (n *NIC) serve(q *QP, pkt *packet) {
 	switch pkt.kind {
 	case pkSend:
 		n.counters.SendsRx++
 		n.recvConsume(q, pkt, pkt.data, false)
-		return
 	case pkWrite:
 		n.counters.WritesRx++
 		st := n.remoteWrite(pkt)
-		n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: st}, 0)
+		n.transmit(q, n.response(pkAck, pkt, st), 0)
 		if st != StatusSuccess {
 			q.enterError()
 		}
@@ -752,7 +948,7 @@ func (n *NIC) process(pkt *packet) {
 		n.counters.WritesRx++
 		st := n.remoteWrite(pkt)
 		if st != StatusSuccess {
-			n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: st}, 0)
+			n.transmit(q, n.response(pkAck, pkt, st), 0)
 			q.enterError()
 			return
 		}
@@ -761,7 +957,7 @@ func (n *NIC) process(pkt *packet) {
 	case pkRead:
 		n.counters.ReadsRx++
 		mr := n.mrsByRKey[pkt.rkey]
-		resp := &packet{kind: pkReadResp, dstQPN: pkt.srcQPN, reqID: pkt.reqID}
+		resp := n.response(pkReadResp, pkt, StatusSuccess)
 		switch {
 		case mr == nil:
 			resp.status = StatusRemoteInvalidRkey
@@ -779,46 +975,27 @@ func (n *NIC) process(pkt *packet) {
 			} else {
 				mr.backing.Flush(int(pkt.raddr), pkt.readLen)
 			}
-			resp.data = make([]byte, pkt.readLen)
-			mr.read(int(pkt.raddr), resp.data)
-			resp.status = StatusSuccess
+			mr.read(int(pkt.raddr), resp.payload(pkt.readLen))
 		}
 		if resp.status != StatusSuccess {
 			n.counters.AccessFaults++
 		}
 		// Flush cost is charged before the response leaves.
-		n.eng.Schedule(n.cfg.CacheFlush, func() {
-			n.respond(q, resp, len(resp.data))
-		})
+		n.respondAfter(n.cfg.CacheFlush, q, resp, len(resp.data))
 	case pkCAS:
 		n.counters.AtomicsRx++
-		mr := n.mrsByRKey[pkt.rkey]
-		resp := &packet{kind: pkCASResp, dstQPN: pkt.srcQPN, reqID: pkt.reqID}
-		switch {
-		case mr == nil:
-			resp.status = StatusRemoteInvalidRkey
-		case mr.access&AccessRemoteAtomic == 0:
-			resp.status = StatusRemoteAccessErr
-		case !mr.contains(int(pkt.raddr), 8):
-			resp.status = StatusRemoteAccessErr
-		default:
-			var cur [8]byte
-			mr.read(int(pkt.raddr), cur[:])
-			orig := le64(cur[:])
+		mr, st := n.atomicTarget(pkt)
+		resp := n.response(pkCASResp, pkt, st)
+		if st == StatusSuccess {
+			orig := mr.readU64(int(pkt.raddr))
 			if orig == pkt.compare {
-				var nv [8]byte
-				putLE64(nv[:], pkt.swap)
-				mr.write(int(pkt.raddr), nv[:])
+				mr.writeU64(int(pkt.raddr), pkt.swap)
 			}
 			resp.imm = orig
-			resp.status = StatusSuccess
-		}
-		if resp.status != StatusSuccess {
+		} else {
 			n.counters.AccessFaults++
 		}
-		n.eng.Schedule(n.cfg.AtomicOp, func() {
-			n.respond(q, resp, 8)
-		})
+		n.respondAfter(n.cfg.AtomicOp, q, resp, 8)
 	case pkMaskFAdd:
 		// Masked fetch-and-add in the style of ConnectX extended atomics:
 		// the addend applies only within the field mask (swap; 0 = whole
@@ -826,45 +1003,22 @@ func (n *NIC) process(pkt *packet) {
 		// expected value — a reader-register that cannot race a writer.
 		// The original word always returns, applied or not.
 		n.counters.AtomicsRx++
-		mr := n.mrsByRKey[pkt.rkey]
-		resp := &packet{kind: pkCASResp, dstQPN: pkt.srcQPN, reqID: pkt.reqID}
-		switch {
-		case mr == nil:
-			resp.status = StatusRemoteInvalidRkey
-		case mr.access&AccessRemoteAtomic == 0:
-			resp.status = StatusRemoteAccessErr
-		case !mr.contains(int(pkt.raddr), 8):
-			resp.status = StatusRemoteAccessErr
-		default:
-			var cur [8]byte
-			mr.read(int(pkt.raddr), cur[:])
-			orig := le64(cur[:])
+		mr, st := n.atomicTarget(pkt)
+		resp := n.response(pkCASResp, pkt, st)
+		if st == StatusSuccess {
+			orig := mr.readU64(int(pkt.raddr))
 			if pkt.gmask == 0 || orig&pkt.gmask == pkt.compare {
 				field := pkt.swap
 				if field == 0 {
 					field = ^uint64(0)
 				}
-				var nv [8]byte
-				putLE64(nv[:], (orig+pkt.imm)&field|orig&^field)
-				mr.write(int(pkt.raddr), nv[:])
+				mr.writeU64(int(pkt.raddr), (orig+pkt.imm)&field|orig&^field)
 			}
 			resp.imm = orig
-			resp.status = StatusSuccess
-		}
-		if resp.status != StatusSuccess {
+		} else {
 			n.counters.AccessFaults++
 		}
-		n.eng.Schedule(n.cfg.AtomicOp, func() {
-			n.respond(q, resp, 8)
-		})
-	case pkAck:
-		n.completeRequest(q, pkt, nil)
-	case pkReadResp:
-		n.completeRequest(q, pkt, pkt.data)
-	case pkCASResp:
-		var orig [8]byte
-		putLE64(orig[:], pkt.imm)
-		n.completeRequest(q, pkt, orig[:])
+		n.respondAfter(n.cfg.AtomicOp, q, resp, 8)
 	}
 }
 
@@ -897,31 +1051,15 @@ func (n *NIC) recvConsume(q *QP, pkt *packet, data []byte, immOnly bool) {
 	rwqe, ok := rq.peek()
 	if !ok {
 		n.counters.RNRs++
-		n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: StatusRNR}, 0)
+		n.transmit(q, n.response(pkAck, pkt, StatusRNR), 0)
 		q.enterError()
 		return
 	}
 	rq.advance()
 	status := StatusSuccess
 	if !immOnly {
-		remaining := data
-		for _, sge := range rwqe.SGEs {
-			if len(remaining) == 0 {
-				break
-			}
-			mr := n.mrsByLKey[sge.LKey]
-			if mr == nil || !mr.contains(int(sge.Offset), min(int(sge.Length), len(remaining))) {
-				status = StatusLocalProtErr
-				break
-			}
-			chunk := remaining
-			if len(chunk) > int(sge.Length) {
-				chunk = chunk[:sge.Length]
-			}
-			mr.write(int(sge.Offset), chunk)
-			remaining = remaining[len(chunk):]
-		}
-		if status == StatusSuccess && len(remaining) > 0 {
+		var left int
+		if left, status = n.scatter(rwqe.SGEs, data); status == StatusSuccess && left > 0 {
 			status = StatusLengthErr
 		}
 	}
@@ -937,57 +1075,27 @@ func (n *NIC) recvConsume(q *QP, pkt *packet, data []byte, immOnly bool) {
 		Imm:     pkt.imm,
 		ByteLen: byteLen,
 	})
-	n.respond(q, &packet{kind: pkAck, dstQPN: pkt.srcQPN, reqID: pkt.reqID, status: status}, 0)
+	n.transmit(q, n.response(pkAck, pkt, status), 0)
 	if status != StatusSuccess {
 		q.enterError()
 	}
 }
 
-// respond sends a response packet back toward the requester.
-func (n *NIC) respond(q *QP, pkt *packet, size int) {
-	n.transmit(q, pkt, size)
-}
-
-// completeRequest matches a response to its pending request and raises the
-// requester-side completion.
-func (n *NIC) completeRequest(q *QP, pkt *packet, scatter []byte) {
+// completeRequest matches a response to its pending request and queues the
+// requester-side completion, which owns pkt from here on.
+func (n *NIC) completeRequest(q *QP, pkt *packet) {
 	p, ok := q.pending[pkt.reqID]
 	if !ok {
-		return // duplicate or post-error response
+		n.releasePacket(pkt) // duplicate or post-error response
+		return
 	}
 	delete(q.pending, pkt.reqID)
 	q.inFlight--
-	q.deliverInOrder(p.seq, func() {
-		st := pkt.status
-		if st == StatusSuccess && scatter != nil && len(p.wqe.SGEs) > 0 {
-			remaining := scatter
-			for _, sge := range p.wqe.SGEs {
-				if len(remaining) == 0 {
-					break
-				}
-				mr := n.mrsByLKey[sge.LKey]
-				if mr == nil || !mr.contains(int(sge.Offset), min(int(sge.Length), len(remaining))) {
-					st = StatusLocalProtErr
-					break
-				}
-				chunk := remaining
-				if len(chunk) > int(sge.Length) {
-					chunk = chunk[:sge.Length]
-				}
-				mr.write(int(sge.Offset), chunk)
-				remaining = remaining[len(chunk):]
-			}
-		}
-		if p.wqe.Signaled {
-			cqe := CQE{WRID: p.wqe.WRID, Opcode: p.wqe.Opcode, Status: st, QPN: q.qpn, ByteLen: len(scatter)}
-			if (p.wqe.Opcode == OpCompSwap || p.wqe.Opcode == OpMaskFAdd) && len(scatter) == 8 {
-				cqe.Imm = le64(scatter)
-			}
-			q.sendCQ.push(cqe)
-		}
-		if st != StatusSuccess {
-			q.enterError()
-		}
+	q.deliverInOrder(p.seq, completion{
+		cqe:      CQE{WRID: p.wrid, Opcode: p.opcode, QPN: q.qpn},
+		signaled: p.signaled,
+		resp:     pkt,
+		scatter:  p.scatter,
 	})
 }
 
@@ -1030,10 +1138,10 @@ func putLE64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 // DebugQPState reports internal queue state for diagnostics: head opcode,
 // ownership, wait bookkeeping. Test scaffolding only.
 func (q *QP) DebugQPState() string {
-	wqe, ok := q.sq.peek()
-	if !ok {
+	if q.sq.Posted() == 0 {
 		return fmt.Sprintf("sq empty, waiting=%v", q.waiting)
 	}
+	wqe := q.sq.readSlot(q.sq.headAbs())
 	cq := q.nic.cqs[wqe.WaitCQ]
 	total := uint64(0)
 	if cq != nil {

@@ -31,10 +31,35 @@ func (s QPState) String() string {
 	}
 }
 
-// pendingReq tracks an initiated request awaiting its remote response.
+// sgeList is an inline SGE list: what a pending request or a queued
+// completion keeps of a WQE's scatter targets without touching the heap.
+type sgeList struct {
+	n    int
+	sges [MaxSGE]SGE
+}
+
+func (l *sgeList) set(sges []SGE) { l.n = copy(l.sges[:], sges) }
+
+// pendingReq tracks an initiated request awaiting its remote response: only
+// what raising its completion needs, not the whole WQE.
 type pendingReq struct {
-	wqe WQE
-	seq uint64 // execution order for in-order completion delivery
+	seq      uint64 // execution order for in-order completion delivery
+	wrid     uint64
+	opcode   Opcode
+	signaled bool
+	scatter  sgeList // where response data lands (READ, atomics)
+}
+
+// completion is one send-side completion awaiting in-order delivery.
+type completion struct {
+	cqe      CQE
+	signaled bool // false: the WQE holds its place in the order but raises no CQE
+	// resp, when set, is the response packet that completed a request: its
+	// payload scatters into scatter at delivery, its status overrides
+	// cqe.Status, and delivery releases it.
+	resp    *packet
+	scatter sgeList
+	next    *completion // free-list link
 }
 
 // QP is a queue pair. Its send and receive queues are WQETables whose slots
@@ -68,7 +93,15 @@ type QP struct {
 	// WAIT chains depend on this.
 	execSeq    uint64
 	deliverSeq uint64
-	reorder    map[uint64]func()
+	reorder    map[uint64]*completion // completions that arrived ahead of their turn
+	freeComps  *completion
+
+	// cur is the NIC's private copy of the WQE being initiated while sqBusy
+	// (fetched from the slot image when its execution started, so later
+	// rewrites of the slot do not affect it); curSeq is its execution order.
+	cur     WQE
+	curSGEs [MaxSGE]SGE
+	curSeq  uint64
 
 	// rxFree serializes responder-side processing: inbound requests on a
 	// QP execute in arrival (PSN) order, so a cheap request (0-byte READ)
@@ -77,21 +110,86 @@ type QP struct {
 	rxFree sim.Time
 }
 
-// deliverInOrder runs fn once all earlier send-side completions of this QP
-// have been delivered.
-func (q *QP) deliverInOrder(seq uint64, fn func()) {
-	if q.reorder == nil {
-		q.reorder = make(map[uint64]func())
+// deliverInOrder delivers c once all earlier send-side completions of this
+// QP have been delivered, then any later ones that were waiting on it.
+func (q *QP) deliverInOrder(seq uint64, c completion) {
+	if seq != q.deliverSeq {
+		held := q.freeComps
+		if held == nil {
+			held = &completion{}
+		} else {
+			q.freeComps = held.next
+		}
+		*held = c
+		if q.reorder == nil {
+			q.reorder = make(map[uint64]*completion)
+		}
+		q.reorder[seq] = held
+		return
 	}
-	q.reorder[seq] = fn
-	for {
-		next, ok := q.reorder[q.deliverSeq]
+	q.deliverSeq++
+	q.deliver(&c)
+	for len(q.reorder) > 0 {
+		held, ok := q.reorder[q.deliverSeq]
 		if !ok {
 			return
 		}
 		delete(q.reorder, q.deliverSeq)
 		q.deliverSeq++
-		next()
+		c = *held
+		*held = completion{next: q.freeComps}
+		q.freeComps = held
+		q.deliver(&c)
+	}
+}
+
+// nextExecSeq assigns the next WQE its place in the completion order.
+func (q *QP) nextExecSeq() uint64 {
+	seq := q.execSeq
+	q.execSeq++
+	return seq
+}
+
+// plainCompletion is the completion of a WQE that involves no response
+// packet: control ops, skipped slots, local failures.
+func (q *QP) plainCompletion(wrid uint64, op Opcode, st Status, imm uint64, signaled bool) completion {
+	return completion{cqe: CQE{WRID: wrid, Opcode: op, Status: st, QPN: q.qpn, Imm: imm}, signaled: signaled}
+}
+
+// deliver raises one completion: scatter the response payload, push the CQE,
+// and fail the queue on a bad response status.
+func (q *QP) deliver(c *completion) {
+	resp := c.resp
+	if resp == nil {
+		if c.signaled {
+			q.sendCQ.push(c.cqe)
+		}
+		return
+	}
+	n := q.nic
+	// The scatter payload: READ data, or the original word of an atomic.
+	var scatter []byte
+	switch resp.kind {
+	case pkReadResp:
+		scatter = resp.data
+	case pkCASResp:
+		putLE64(resp.word[:], resp.imm)
+		scatter = resp.word[:]
+	}
+	st := resp.status
+	if st == StatusSuccess {
+		_, st = n.scatter(c.scatter.sges[:c.scatter.n], scatter)
+	}
+	c.cqe.Status, c.cqe.ByteLen = st, len(scatter)
+	if (c.cqe.Opcode == OpCompSwap || c.cqe.Opcode == OpMaskFAdd) && len(scatter) == 8 {
+		c.cqe.Imm = le64(scatter)
+	}
+	n.releasePacket(resp)
+	if c.signaled {
+		q.sendCQ.push(c.cqe)
+	}
+	if st != StatusSuccess {
+		q.enterError()
 	}
 }
 
@@ -254,18 +352,13 @@ func (q *QP) PostRecv(w WQE) (int, error) {
 // This is what the modified driver does after the host finishes editing a
 // held descriptor.
 func (q *QP) Doorbell(idx int) {
-	// Bookkeeping first: the flag write below re-kicks the queue via the
-	// table region's onWrite hook, and the ring charge must be visible to
-	// that evaluation.
+	// Bookkeeping first: the ring charge must be visible to the queue
+	// evaluation the kick below starts.
 	q.nic.counters.Doorbells++
 	if q.nic.cfg.DoorbellCost > 0 {
 		q.dbPending++
 	}
-	off := q.sq.SlotOffset(idx) + offFlags
-	var b [1]byte
-	q.sq.mr.backing.ReadAt(off, b[:])
-	b[0] |= flagHWOwned
-	q.sq.mr.backing.WriteAt(off, b[:])
+	q.sq.setSlotOwned(idx, true)
 	q.nic.kick(q)
 }
 
@@ -278,8 +371,8 @@ func (q *QP) enterError() {
 	q.state = QPError
 	for id, p := range q.pending {
 		delete(q.pending, id)
-		if p.wqe.Signaled {
-			q.sendCQ.push(CQE{WRID: p.wqe.WRID, Opcode: p.wqe.Opcode, Status: StatusFlushErr, QPN: q.qpn})
+		if p.signaled {
+			q.sendCQ.push(CQE{WRID: p.wrid, Opcode: p.opcode, Status: StatusFlushErr, QPN: q.qpn})
 		}
 	}
 	for {

@@ -80,9 +80,7 @@ func (w *WQE) Encode(dst []byte) {
 	if len(w.SGEs) > MaxSGE {
 		panic(ErrTooManySGEs)
 	}
-	for i := range dst[:SlotSize] {
-		dst[i] = 0
-	}
+	clear(dst[:SlotSize])
 	dst[offOpcode] = byte(w.Opcode)
 	var flags byte
 	if w.Signaled {
@@ -113,12 +111,23 @@ func (w *WQE) Encode(dst []byte) {
 	}
 }
 
-// DecodeWQE parses a 128-byte slot image.
+// DecodeWQE parses a 128-byte slot image into a self-contained WQE.
 func DecodeWQE(src []byte) WQE {
 	if len(src) < SlotSize {
 		panic(fmt.Sprintf("rdma: decode from %d bytes, need %d", len(src), SlotSize))
 	}
-	w := WQE{
+	w := decodeHeader(src)
+	var sges [MaxSGE]SGE
+	if n := decodeSGEs(&sges, src); n > 0 {
+		w.SGEs = append([]SGE(nil), sges[:n]...)
+	}
+	return w
+}
+
+// decodeHeader parses every field of a slot image except the SGE list.
+func decodeHeader(src []byte) WQE {
+	_ = src[SlotSize-1]
+	return WQE{
 		Opcode:    Opcode(src[offOpcode]),
 		Signaled:  src[offFlags]&flagSignaled != 0,
 		HWOwned:   src[offFlags]&flagHWOwned != 0,
@@ -133,19 +142,24 @@ func DecodeWQE(src []byte) WQE {
 		ProgA:     binary.LittleEndian.Uint64(src[offProgA:]),
 		ProgB:     binary.LittleEndian.Uint64(src[offProgB:]),
 	}
+}
+
+// decodeSGEs parses a slot image's SGE list into dst and returns its length
+// (an over-long count in a damaged image is clamped to MaxSGE).
+func decodeSGEs(dst *[MaxSGE]SGE, src []byte) int {
 	n := int(src[offNumSGE])
 	if n > MaxSGE {
 		n = MaxSGE
 	}
 	for i := 0; i < n; i++ {
 		base := offSGEs + i*sgeSize
-		w.SGEs = append(w.SGEs, SGE{
+		dst[i] = SGE{
 			LKey:   binary.LittleEndian.Uint32(src[base:]),
 			Length: binary.LittleEndian.Uint32(src[base+4:]),
 			Offset: binary.LittleEndian.Uint64(src[base+8:]),
-		})
+		}
 	}
-	return w
+	return n
 }
 
 // EncodeImage returns the WQE as a fresh slot image — what a HyperLoop
@@ -158,15 +172,33 @@ func (w *WQE) EncodeImage() []byte {
 
 // WQETable is a ring of WQE slots living in a registered memory region.
 // The region uses RAM backing: queues are host memory even on NVM nodes.
+//
+// The encoded image in that memory is the only copy of a descriptor. Chains
+// are self-modifying programs — a RECV scatter, a remote WRITE or the NIC's
+// own re-arm may rewrite a slot at any instant before it executes — so the
+// table never caches a decoded WQE across calls: post encodes into the
+// image, peek decodes out of it, and the patch helpers edit it, all in
+// place on the region's bytes.
 type WQETable struct {
 	mr    *MemoryRegion
+	buf   []byte // the region's RAM, slots*SlotSize bytes
 	slots int
 	head  int // next slot the NIC will consider (consumer)
 	tail  int // next free slot for posting (producer)
+
+	// cur is the WQE peek hands out, its SGEs backed by curSGEs. It belongs
+	// to the table and is overwritten by the next peek; a caller that needs
+	// the descriptor longer copies it (see QP.startExec).
+	cur     WQE
+	curSGEs [MaxSGE]SGE
 }
 
 func newWQETable(mr *MemoryRegion, slots int) *WQETable {
-	return &WQETable{mr: mr, slots: slots}
+	ram, ok := mr.backing.(*RAMBacking)
+	if !ok || len(ram.buf) < slots*SlotSize {
+		panic("rdma: WQE table needs a RAM-backed region of slots*SlotSize bytes")
+	}
+	return &WQETable{mr: mr, buf: ram.buf, slots: slots}
 }
 
 // MR returns the registered region holding the slots; its rkey is what a
@@ -178,6 +210,12 @@ func (t *WQETable) Slots() int { return t.slots }
 
 // SlotOffset returns the byte offset of slot i within the table's region.
 func (t *WQETable) SlotOffset(i int) int { return (i % t.slots) * SlotSize }
+
+// slot returns the encoded image of slot abs.
+func (t *WQETable) slot(abs int) []byte {
+	off := t.SlotOffset(abs)
+	return t.buf[off : off+SlotSize]
+}
 
 // Tail returns the producer index (the absolute index of the next post).
 func (t *WQETable) Tail() int { return t.tail }
@@ -193,21 +231,22 @@ func (t *WQETable) post(w *WQE) (int, error) {
 		return 0, ErrQueueFull
 	}
 	idx := t.tail
-	buf := make([]byte, SlotSize)
-	w.Encode(buf)
-	t.mr.backing.WriteAt(t.SlotOffset(idx), buf)
+	w.Encode(t.slot(idx))
 	t.tail++
 	return idx, nil
 }
 
-// peek decodes the head slot without consuming it.
-func (t *WQETable) peek() (WQE, bool) {
+// peek decodes the head slot without consuming it. The returned WQE is the
+// table's own (see cur): it reflects the slot image as of this call and is
+// valid until the next peek on this table.
+func (t *WQETable) peek() (*WQE, bool) {
 	if t.head >= t.tail {
-		return WQE{}, false
+		return nil, false
 	}
-	buf := make([]byte, SlotSize)
-	t.mr.backing.ReadAt(t.SlotOffset(t.head), buf)
-	return DecodeWQE(buf), true
+	img := t.slot(t.head)
+	t.cur = decodeHeader(img)
+	t.cur.SGEs = t.curSGEs[:decodeSGEs(&t.curSGEs, img)]
+	return &t.cur, true
 }
 
 // advance consumes the head slot.
@@ -227,41 +266,29 @@ func (t *WQETable) rewindTo(abs int) {
 	t.head = abs
 }
 
-// readSlot decodes the slot at absolute index abs without consuming it.
-func (t *WQETable) readSlot(abs int) WQE {
-	buf := make([]byte, SlotSize)
-	t.mr.backing.ReadAt(t.SlotOffset(abs), buf)
-	return DecodeWQE(buf)
-}
+// readSlot decodes the slot at absolute index abs, without its SGE list and
+// without consuming it or disturbing peek's WQE.
+func (t *WQETable) readSlot(abs int) WQE { return decodeHeader(t.slot(abs)) }
 
 // slotFlags reads the flag byte of slot abs.
-func (t *WQETable) slotFlags(abs int) byte {
-	var b [1]byte
-	t.mr.backing.ReadAt(t.SlotOffset(abs)+offFlags, b[:])
-	return b[0]
-}
+func (t *WQETable) slotFlags(abs int) byte { return t.slot(abs)[offFlags] }
 
-// setSlotOwned sets or clears the hardware-ownership bit of slot abs. It
-// writes through the backing directly (no onWrite hook), matching what the
+// setSlotOwned sets or clears the hardware-ownership bit of slot abs. Like
+// every table edit it bypasses the region's onWrite hook, matching what the
 // NIC itself does when it re-arms a branch target: a purely NIC-internal
 // state change must not recursively re-kick the queue mid-interpretation.
 func (t *WQETable) setSlotOwned(abs int, owned bool) {
-	off := t.SlotOffset(abs) + offFlags
-	var b [1]byte
-	t.mr.backing.ReadAt(off, b[:])
+	img := t.slot(abs)
 	if owned {
-		b[0] |= flagHWOwned
+		img[offFlags] |= flagHWOwned
 	} else {
-		b[0] &^= flagHWOwned
+		img[offFlags] &^= flagHWOwned
 	}
-	t.mr.backing.WriteAt(off, b[:])
 }
 
 // patchSlotU32 overwrites one 4-byte field of the encoded slot at abs.
 func (t *WQETable) patchSlotU32(abs, fieldOff int, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	t.mr.backing.WriteAt(t.SlotOffset(abs)+fieldOff, b[:])
+	binary.LittleEndian.PutUint32(t.slot(abs)[fieldOff:], v)
 }
 
 // PatchSlotU64 overwrites one 8-byte field of the encoded slot at absolute
@@ -273,9 +300,7 @@ func (t *WQETable) PatchSlotU64(abs int, fieldOff int, v uint64) {
 	if fieldOff < 0 || fieldOff+8 > SlotSize {
 		panic(fmt.Sprintf("rdma: patch field offset %d outside slot", fieldOff))
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	t.mr.backing.WriteAt(t.SlotOffset(abs)+fieldOff, b[:])
+	binary.LittleEndian.PutUint64(t.slot(abs)[fieldOff:], v)
 }
 
 // Encoded-slot field offsets exported for host-side template patching.

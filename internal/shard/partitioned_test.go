@@ -98,7 +98,7 @@ func runPartitionedWorkload(t *testing.T, workers int) string {
 // identical virtual times at every worker count.
 func TestPartitionedPlaneDeterministicAcrossWorkers(t *testing.T) {
 	ref := runPartitionedWorkload(t, 1)
-	for _, w := range []int{2, 0} {
+	for _, w := range []int{2, 4, 0} {
 		if got := runPartitionedWorkload(t, w); got != ref {
 			t.Fatalf("workers=%d diverged from serial reference:\n--- serial ---\n%s--- workers=%d ---\n%s",
 				w, ref, w, got)

@@ -62,13 +62,28 @@ type EventID struct {
 // not say whether the event is still pending — see Engine.Active).
 func (id EventID) Valid() bool { return id.gen != 0 }
 
+// Event is the unit of work the engine fires. Hot-path actors (packets,
+// fabric deliveries, per-queue NIC state) implement it on a value they
+// already own, so scheduling them stores one interface word pair and
+// allocates nothing; everything else passes a func through Schedule.
+type Event interface {
+	Fire()
+}
+
+// funcEvent adapts a plain func to Event. A func value is pointer-shaped, so
+// boxing it in the interface does not allocate: Schedule(func()) and
+// ScheduleEvent share one slot representation.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
 // eventSlot is one slab cell. Slots are recycled through a free list; gen
 // increments on every release so stale EventIDs can never touch a reused
 // slot.
 type eventSlot struct {
 	at      Time
 	seq     uint64
-	fn      func()
+	ev      Event
 	src     int32 // merge-order source tag: the engine's own tag for local events, the sender's partition tag for cross-partition arrivals
 	gen     uint32
 	heapIdx int32 // index into Engine.heap; -1 when not queued
@@ -188,7 +203,7 @@ func (e *Engine) siftDown(i int) int {
 // handles to it.
 func (e *Engine) release(si int32) {
 	s := &e.slots[si]
-	s.fn = nil
+	s.ev = nil
 	s.heapIdx = -1
 	s.gen++
 	if s.gen == 0 { // skip 0 on wrap: gen 0 marks the invalid zero EventID
@@ -201,27 +216,43 @@ func (e *Engine) release(si int32) {
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 // It returns an EventID handle that can be passed to Cancel.
 func (e *Engine) Schedule(d Duration, fn func()) EventID {
+	if fn == nil {
+		panic("sim: schedule nil func")
+	}
+	return e.ScheduleEvent(d, funcEvent(fn))
+}
+
+// ScheduleEvent fires ev after delay d. A negative delay is treated as zero.
+func (e *Engine) ScheduleEvent(d Duration, ev Event) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return e.ScheduleAt(e.now.Add(d), fn)
+	return e.ScheduleEventAt(e.now.Add(d), ev)
 }
 
 // ScheduleAt runs fn at instant t. Scheduling in the past panics: in a
 // deterministic simulation that is always a bug in the caller.
 func (e *Engine) ScheduleAt(t Time, fn func()) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
 	if fn == nil {
 		panic("sim: schedule nil func")
 	}
+	return e.ScheduleEventAt(t, funcEvent(fn))
+}
+
+// ScheduleEventAt fires ev at instant t, with ScheduleAt's rules.
+func (e *Engine) ScheduleEventAt(t Time, ev Event) EventID {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	if ev == nil {
+		panic("sim: schedule nil event")
+	}
 	e.seq++
-	return e.insert(t, e.tag, e.seq, fn)
+	return e.insert(t, e.tag, e.seq, ev)
 }
 
 // insert places one event into the slab and heap with an explicit merge key.
-func (e *Engine) insert(t Time, src int32, seq uint64, fn func()) EventID {
+func (e *Engine) insert(t Time, src int32, seq uint64, ev Event) EventID {
 	var si int32
 	if e.freeHead >= 0 {
 		si = e.freeHead
@@ -231,7 +262,7 @@ func (e *Engine) insert(t Time, src int32, seq uint64, fn func()) EventID {
 		si = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[si]
-	s.at, s.src, s.seq, s.fn = t, src, seq, fn
+	s.at, s.src, s.seq, s.ev = t, src, seq, ev
 	i := len(e.heap)
 	e.heap = append(e.heap, si)
 	s.heapIdx = int32(i)
@@ -243,11 +274,11 @@ func (e *Engine) insert(t Time, src int32, seq uint64, fn func()) EventID {
 // sender's merge key (src partition tag, per-channel sequence). The caller —
 // the partitioned scheduler's drain — guarantees t >= e.now; the local seq
 // counter is untouched so local schedule order stays deterministic.
-func (e *Engine) scheduleArrival(t Time, src int32, seq uint64, fn func()) {
+func (e *Engine) scheduleArrival(t Time, src int32, seq uint64, ev Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: arrival at %v before now %v", t, e.now))
 	}
-	e.insert(t, src, seq, fn)
+	e.insert(t, src, seq, ev)
 }
 
 // runBefore fires events strictly earlier than horizon, in (time, src, seq)
@@ -315,7 +346,7 @@ func (e *Engine) Step() bool {
 	}
 	si := e.heap[0]
 	s := &e.slots[si]
-	at, fn := s.at, s.fn
+	at, ev := s.at, s.ev
 	last := len(e.heap) - 1
 	e.heap[0] = e.heap[last]
 	e.heap = e.heap[:last]
@@ -323,13 +354,13 @@ func (e *Engine) Step() bool {
 		e.slots[e.heap[0]].heapIdx = 0
 		e.siftDown(0)
 	}
-	// Release before invoking fn: the handle is already stale inside the
-	// callback (as before the slab rewrite), and fn's own scheduling can
-	// recycle the slot immediately.
+	// Release before firing: the handle is already stale inside the
+	// callback (as before the slab rewrite), and the event's own scheduling
+	// can recycle the slot immediately.
 	e.release(si)
 	e.now = at
 	e.fired++
-	fn()
+	ev.Fire()
 	return true
 }
 

@@ -549,3 +549,44 @@ func TestScheduleNilPanics(t *testing.T) {
 	}()
 	e.Schedule(1, nil)
 }
+
+// countEvent is an Event implemented on a value the caller already owns, the
+// shape of every hot-path actor.
+type countEvent struct{ fired int }
+
+func (c *countEvent) Fire() { c.fired++ }
+
+// Schedule+fire must not allocate, for an Event and for a func alike: both
+// go into the same slot, and a func boxed in the interface is pointer-shaped.
+func TestScheduleFireAllocFree(t *testing.T) {
+	e := NewEngine()
+	ev := &countEvent{}
+	fn := func() { ev.fired++ }
+	e.ScheduleEvent(1, ev) // grow the slab and heap once
+	e.Step()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.ScheduleEvent(1, ev)
+		e.Step()
+	}); n != 0 {
+		t.Errorf("ScheduleEvent+Step allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.Schedule(1, fn)
+		e.Step()
+	}); n != 0 {
+		t.Errorf("Schedule(func)+Step allocates %v/op, want 0", n)
+	}
+	if ev.fired != 2003 { // 1 warm-up + 2 × (AllocsPerRun's own warm-up + 1000 runs)
+		t.Fatalf("fired %d events", ev.fired)
+	}
+}
+
+func TestScheduleNilEventPanics(t *testing.T) {
+	e := NewEngine()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil event accepted")
+		}
+	}()
+	e.ScheduleEvent(1, nil)
+}

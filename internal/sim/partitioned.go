@@ -57,7 +57,7 @@ type handoff struct {
 type handoffMsg struct {
 	at  Time
 	seq uint64
-	fn  func()
+	ev  Event
 }
 
 // PartitionedEngine executes n partition Engines concurrently while keeping
@@ -195,7 +195,7 @@ func (pe *PartitionedEngine) Send(src, dst int, d Duration, fn func()) {
 	}
 	ch := pe.chans[src][dst]
 	ch.seq++
-	ch.msgs = append(ch.msgs, handoffMsg{at: at, seq: ch.seq, fn: fn})
+	ch.msgs = append(ch.msgs, handoffMsg{at: at, seq: ch.seq, ev: funcEvent(fn)})
 	if at < pe.chanMin[dst] {
 		pe.chanMin[dst] = at
 	}
@@ -313,7 +313,7 @@ func (pe *PartitionedEngine) round(p int, deadline Time) bool {
 				})
 				at = eng.now // keep the run alive; the checker reports the breach
 			}
-			eng.scheduleArrival(at, int32(src), m.seq, m.fn)
+			eng.scheduleArrival(at, int32(src), m.seq, m.ev)
 		}
 		ch.msgs = ch.msgs[:0]
 	}

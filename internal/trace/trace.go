@@ -103,7 +103,7 @@ func (c *Collector) Render(events []rdma.TraceEvent, base sim.Time) string {
 			op = e.Op.String()
 		}
 		fmt.Fprintf(&b, "%-10d %-9s %-6s %-10s %s\n",
-			e.At.Sub(base), c.Name(e), e.Kind, op, e.Info)
+			e.At.Sub(base), c.Name(e), e.Kind, op, e.Info())
 	}
 	return b.String()
 }
