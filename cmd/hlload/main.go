@@ -11,8 +11,7 @@
 // Usage:
 //
 //	hlload [-exp all|curve|fusion] [-quick] [-seed N] [-clients N] [-arrival poisson|bmodel]
-//	       [-parallel N] [-engine-workers N] [-tenants N] [-csv] [-bench-json FILE]
-//	       [-metrics-json FILE]
+//	       [-parallel N] [-engine-workers N] [-tenants N] [-csv] [-metrics-json FILE]
 //
 // The curve table plots goodput (acks within the SLO) and open-loop p99.9
 // against offered load; past the knee the admission-on rows hold goodput at
@@ -28,7 +27,6 @@ import (
 	"fmt"
 	"os"
 
-	"hyperloop/internal/bench"
 	"hyperloop/internal/experiments"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/stats"
@@ -44,11 +42,8 @@ var (
 	parallel   = flag.Int("parallel", 0, "worker count (0 = all cores, 1 = serial)")
 	engWorkers = flag.Int("engine-workers", 0, "partitioned-engine worker count (0 = all cores, 1 = serial)")
 	tenants    = flag.Int("tenants", 0, "run one QoS-on cell with this many tenant classes and print the per-tenant table")
-	benchJSON  = flag.String("bench-json", "", "write machine-readable benchmark results to this file")
 	metJSON    = flag.String("metrics-json", "", "run an instrumented collection pass and dump the metrics registry as JSON to this file")
 )
-
-var recorder = bench.NewRecorder()
 
 func main() {
 	flag.Parse()
@@ -106,14 +101,6 @@ func main() {
 	if *expFlag != "curve" {
 		fusion(res)
 	}
-
-	if *benchJSON != "" {
-		if err := recorder.WriteJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote benchmark results to %s\n", *benchJSON)
-	}
 }
 
 func us(d sim.Duration) string { return fmt.Sprintf("%.1fus", float64(d)/1000) }
@@ -141,28 +128,6 @@ func curve(res experiments.LoadCurveResult) {
 		"goodput-kops", "p50", "p99.9", "shed", "unserved", "conns")
 	for _, pt := range res.Points {
 		v := pt.Verdicts
-		recorder.Add(bench.Result{
-			Experiment: "load-curve",
-			Params: map[string]any{
-				"system":    pt.System,
-				"admission": pt.Admission,
-				"mult":      pt.Mult,
-			},
-			AvgNs: int64(pt.Lat.Mean),
-			P99Ns: int64(pt.Lat.P99),
-			Extra: map[string]float64{
-				"offered_kops":    pt.Offered / 1e3,
-				"tput_kops":       pt.TputKops,
-				"goodput_kops":    pt.GoodputKops,
-				"p999_ns":         float64(pt.P999),
-				"shed_queue_full": float64(v.ShedQueueFull),
-				"shed_throttled":  float64(v.ShedThrottled),
-				"backpressure":    float64(v.Backpressure),
-				"unserved":        float64(v.Unserved),
-				"clients_modeled": float64(pt.ClientsModeled),
-				"conns_opened":    float64(pt.ConnsOpened),
-			},
-		})
 		t.AddRow(pt.System, onoff(pt.Admission), fmt.Sprintf("%.2f", pt.Mult),
 			fmt.Sprintf("%.1f", pt.Offered/1e3),
 			fmt.Sprintf("%.1f", pt.TputKops), fmt.Sprintf("%.1f", pt.GoodputKops),
@@ -179,20 +144,6 @@ func fusion(res experiments.LoadCurveResult) {
 	t := stats.NewTable("depth", "tput-kops", "goodput-kops", "p50", "p99.9",
 		"doorbells", "fused-batches", "fused-ops")
 	for _, pt := range res.Fusion {
-		recorder.Add(bench.Result{
-			Experiment: "load-fusion",
-			Params:     map[string]any{"depth": pt.Depth},
-			AvgNs:      int64(pt.Lat.Mean),
-			P99Ns:      int64(pt.Lat.P99),
-			Extra: map[string]float64{
-				"tput_kops":     pt.TputKops,
-				"goodput_kops":  pt.GoodputKops,
-				"p999_ns":       float64(pt.P999),
-				"doorbells":     float64(pt.Doorbells),
-				"fused_batches": float64(pt.FusedBatches),
-				"fused_ops":     float64(pt.FusedOps),
-			},
-		})
 		t.AddRow(fmt.Sprint(pt.Depth), fmt.Sprintf("%.1f", pt.TputKops),
 			fmt.Sprintf("%.1f", pt.GoodputKops), us(pt.Lat.P50), us(pt.P999),
 			fmt.Sprint(pt.Doorbells), fmt.Sprint(pt.FusedBatches), fmt.Sprint(pt.FusedOps))

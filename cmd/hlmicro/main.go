@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hlmicro [-exp all|fig8a|fig8b|table2|fig9|fig10|ablations|stages|lockstages] [-quick] [-seed N] [-parallel N]
-//	        [-bench-json FILE] [-metrics-json FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	        [-metrics-json FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -exp stages decomposes durable-gWRITE latency into per-stage slices
 // (client post, network, NIC forwarding, host CPU, ...) for HyperLoop vs
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"hyperloop/internal/bench"
 	"hyperloop/internal/experiments"
 	"hyperloop/internal/prof"
 	"hyperloop/internal/sim"
@@ -29,20 +28,15 @@ import (
 )
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment: all, fig8a, fig8b, table2, fig9, fig10, multigroup, ablations, stages, lockstages")
-	quick     = flag.Bool("quick", false, "reduced op counts for a fast run")
-	csv       = flag.Bool("csv", false, "emit tables as CSV")
-	seed      = flag.Int64("seed", 1, "simulation seed")
-	parallel  = flag.Int("parallel", 0, "worker count (0 = all cores, 1 = serial)")
-	benchJSON = flag.String("bench-json", "", "write machine-readable benchmark results to this file")
-	metJSON   = flag.String("metrics-json", "", "run an instrumented collection pass and dump the metrics registry as JSON to this file")
-	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	expFlag  = flag.String("exp", "all", "experiment: all, fig8a, fig8b, table2, fig9, fig10, multigroup, ablations, stages, lockstages")
+	quick    = flag.Bool("quick", false, "reduced op counts for a fast run")
+	csv      = flag.Bool("csv", false, "emit tables as CSV")
+	seed     = flag.Int64("seed", 1, "simulation seed")
+	parallel = flag.Int("parallel", 0, "worker count (0 = all cores, 1 = serial)")
+	metJSON  = flag.String("metrics-json", "", "run an instrumented collection pass and dump the metrics registry as JSON to this file")
+	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 )
-
-// recorder collects results for -bench-json; recording is cheap enough to do
-// unconditionally and only the final write is gated on the flag.
-var recorder = bench.NewRecorder()
 
 // stopProf flushes any live profiles; os.Exit skips defers, so error paths
 // call stopProfAndExit instead.
@@ -81,8 +75,8 @@ func main() {
 	base := experiments.MicroParams{Ops: ops, TenantsPerCore: 10, Durable: true, Seed: *seed}
 
 	run := map[string]func() error{
-		"fig8a": func() error { return latencySweep("fig8a", "Figure 8(a): gWRITE latency", "gwrite", sizes, base) },
-		"fig8b": func() error { return latencySweep("fig8b", "Figure 8(b): gMEMCPY latency", "gmemcpy", sizes, base) },
+		"fig8a": func() error { return latencySweep("Figure 8(a): gWRITE latency", "gwrite", sizes, base) },
+		"fig8b": func() error { return latencySweep("Figure 8(b): gMEMCPY latency", "gmemcpy", sizes, base) },
 		"table2": func() error {
 			return table2(base)
 		},
@@ -122,18 +116,11 @@ func main() {
 			stopProfAndExit(1)
 		}
 	}
-	if *benchJSON != "" {
-		if err := recorder.WriteJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			stopProfAndExit(1)
-		}
-		fmt.Printf("wrote benchmark results to %s\n", *benchJSON)
-	}
 }
 
 func us(d sim.Duration) string { return fmt.Sprintf("%.1fus", float64(d)/1000) }
 
-func latencySweep(id, title, prim string, sizes []int, base experiments.MicroParams) error {
+func latencySweep(title, prim string, sizes []int, base experiments.MicroParams) error {
 	fmt.Printf("=== %s (group=3, 10:1 co-location, durable) ===\n", title)
 	rows, err := experiments.LatencySweep(prim, sizes,
 		[]experiments.System{experiments.HyperLoop, experiments.NaiveEvent}, base)
@@ -144,8 +131,6 @@ func latencySweep(id, title, prim string, sizes []int, base experiments.MicroPar
 	for _, r := range rows {
 		hl := r.ByName["HyperLoop"]
 		nv := r.ByName["Naive-Event"]
-		recorder.RecordSummary(id, map[string]any{"size": r.MsgSize, "system": "HyperLoop"}, hl)
-		recorder.RecordSummary(id, map[string]any{"size": r.MsgSize, "system": "Naive-Event"}, nv)
 		t.AddRow(fmt.Sprint(r.MsgSize), us(hl.Mean), us(hl.P99), us(nv.Mean), us(nv.P99),
 			fmt.Sprintf("%.0fx", float64(nv.P99)/float64(hl.P99)))
 	}
@@ -162,8 +147,6 @@ func table2(base experiments.MicroParams) error {
 	}
 	hl := rows[0].ByName["HyperLoop"]
 	nv := rows[0].ByName["Naive-Event"]
-	recorder.RecordSummary("table2", map[string]any{"size": 1024, "system": "HyperLoop"}, hl)
-	recorder.RecordSummary("table2", map[string]any{"size": 1024, "system": "Naive-Event"}, nv)
 	t := stats.NewTable("system", "avg", "p95", "p99")
 	t.AddRow("Naive-RDMA", us(nv.Mean), us(nv.P95), us(nv.P99))
 	t.AddRow("HyperLoop", us(hl.Mean), us(hl.P95), us(hl.P99))
@@ -186,16 +169,6 @@ func fig9(sizes []int, totalBytes int) error {
 	for _, r := range rows {
 		hl := r.ByName["HyperLoop"]
 		nv := r.ByName["Naive-Event"]
-		for _, p := range []struct {
-			name string
-			pt   experiments.ThroughputPoint
-		}{{"HyperLoop", hl}, {"Naive-Event", nv}} {
-			recorder.Add(bench.Result{
-				Experiment: "fig9",
-				Params:     map[string]any{"size": r.MsgSize, "system": p.name},
-				Extra:      map[string]float64{"kops_sec": p.pt.KopsSec, "cpu_core_pct": p.pt.CPUCorePct},
-			})
-		}
 		t.AddRow(fmt.Sprint(r.MsgSize),
 			fmt.Sprintf("%.0f", hl.KopsSec), fmt.Sprintf("%.1f", hl.CPUCorePct),
 			fmt.Sprintf("%.0f", nv.KopsSec), fmt.Sprintf("%.1f", nv.CPUCorePct))
@@ -216,18 +189,6 @@ func fig10(sizes []int, base experiments.MicroParams) error {
 	if err != nil {
 		return err
 	}
-	record := func(sys string, rows []experiments.GroupScalingRow) {
-		for _, r := range rows {
-			recorder.Add(bench.Result{
-				Experiment: "fig10",
-				Params:     map[string]any{"group": r.GroupSize, "size": r.MsgSize, "system": sys},
-				AvgNs:      int64(r.Mean),
-				P99Ns:      int64(r.P99),
-			})
-		}
-	}
-	record("HyperLoop", hl)
-	record("Naive-Event", nv)
 	at := func(rows []experiments.GroupScalingRow, g, m int) sim.Duration {
 		for _, r := range rows {
 			if r.GroupSize == g && r.MsgSize == m {
@@ -261,8 +222,6 @@ func multigroup(ops int) error {
 	t := stats.NewTable("groups", "HL-avg", "HL-p99", "Naive-avg", "Naive-p99")
 	for ci, n := range counts {
 		hl, nv := pts[ci*len(systems)], pts[ci*len(systems)+1]
-		recorder.RecordSummary("multigroup", map[string]any{"groups": n, "system": "HyperLoop"}, hl.Probe)
-		recorder.RecordSummary("multigroup", map[string]any{"groups": n, "system": "Naive-Event"}, nv.Probe)
 		t.AddRow(fmt.Sprint(n), us(hl.Probe.Mean), us(hl.Probe.P99), us(nv.Probe.Mean), us(nv.Probe.P99))
 	}
 	printTable(t)
@@ -308,16 +267,7 @@ func ablations(ops int) error {
 // stage durations; the stages tile the end-to-end window exactly).
 func stages(ops int) error {
 	fmt.Println("=== Stage breakdown: durable gWRITE, group=3, 10:1 co-location ===")
-	rows := experiments.StageBreakdown(*seed, ops/4)
-	for _, r := range rows {
-		recorder.Add(bench.Result{
-			Experiment: "stages",
-			Params:     map[string]any{"system": r.System.String()},
-			AvgNs:      int64(r.EndToEnd) / int64(r.Ops),
-			Extra:      map[string]float64{"host_cpu_share": r.Share("host-cpu")},
-		})
-	}
-	printTable(experiments.StageBreakdownTable(rows))
+	printTable(experiments.StageBreakdownTable(experiments.StageBreakdown(*seed, ops/4)))
 	return nil
 }
 
@@ -325,19 +275,7 @@ func stages(ops int) error {
 // NIC-resident gATOMIC_LOOP program vs the host-bounced retry loop.
 func lockstages(ops int) error {
 	fmt.Println("=== Lock stage breakdown: contended WrLock, group=3, 40us foreign hold ===")
-	rows := experiments.LockStageBreakdown(ops / 100)
-	for _, r := range rows {
-		recorder.Add(bench.Result{
-			Experiment: "lockstages",
-			Params:     map[string]any{"arm": r.Arm},
-			AvgNs:      int64(r.EndToEnd) / int64(r.Ops),
-			Extra: map[string]float64{
-				"host_cpu_share":   r.Share("host-cpu"),
-				"doorbells_per_op": float64(r.Doorbells) / float64(r.Ops),
-			},
-		})
-	}
-	printTable(experiments.LockStageTable(rows))
+	printTable(experiments.LockStageTable(experiments.LockStageBreakdown(ops / 100)))
 	return nil
 }
 

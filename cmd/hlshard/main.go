@@ -9,7 +9,7 @@
 // Usage:
 //
 //	hlshard [-exp all|scaling|pscaling|migrate] [-quick] [-seed N] [-seeds N] [-parallel N]
-//	        [-engine-workers N] [-csv] [-bench-json FILE] [-metrics-json FILE]
+//	        [-engine-workers N] [-csv] [-metrics-json FILE]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -exp pscaling runs the partitioned-engine scaling cell: the 16-shard
@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"time"
 
-	"hyperloop/internal/bench"
 	"hyperloop/internal/experiments"
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/prof"
@@ -45,13 +44,10 @@ var (
 	seeds      = flag.Int("seeds", 4, "migration-inflight scenarios to run")
 	parallel   = flag.Int("parallel", 0, "worker count (0 = all cores, 1 = serial)")
 	engWorkers = flag.Int("engine-workers", 0, "partitioned-engine worker count (0 = all cores, 1 = serial)")
-	benchJSON  = flag.String("bench-json", "", "write machine-readable benchmark results to this file")
 	metJSON    = flag.String("metrics-json", "", "run the instrumented scaling experiment and dump the merged metrics registry as JSON to this file")
 	cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 )
-
-var recorder = bench.NewRecorder()
 
 // stopProf flushes any live profiles; os.Exit skips defers, so error paths
 // call stopProfAndExit instead.
@@ -97,13 +93,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *benchJSON != "" {
-		if err := recorder.WriteJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			stopProfAndExit(1)
-		}
-		fmt.Printf("wrote benchmark results to %s\n", *benchJSON)
-	}
 	if !ok {
 		stopProfAndExit(1)
 	}
@@ -166,16 +155,6 @@ func scaling() {
 	res := experiments.ShardScaling(nil, *seed, ops)
 	t := stats.NewTable("shards", "acked", "elapsed", "kops/s", "avg", "p99", "max-shard-p99")
 	for _, r := range res {
-		recorder.Add(bench.Result{
-			Experiment: "shard-scaling",
-			Params:     map[string]any{"shards": r.Shards},
-			AvgNs:      int64(r.Lat.Mean),
-			P99Ns:      int64(r.Lat.P99),
-			Extra: map[string]float64{
-				"tput_kops":        r.TputKops,
-				"max_shard_p99_ns": float64(r.MaxShardP99),
-			},
-		})
 		t.AddRow(fmt.Sprint(r.Shards), fmt.Sprint(r.Acked), fmt.Sprint(r.Elapsed),
 			fmt.Sprintf("%.1f", r.TputKops), us(r.Lat.Mean), us(r.Lat.P99), us(r.MaxShardP99))
 	}
@@ -222,20 +201,6 @@ func pscaling() {
 			}
 			speedup = refWall / wallMs
 		}
-		recorder.Add(bench.Result{
-			Experiment: "partitioned-scaling",
-			Params:     map[string]any{"shards": r.Shards, "engine_workers": w},
-			AvgNs:      int64(r.Lat.Mean),
-			P99Ns:      int64(r.Lat.P99),
-			Extra: map[string]float64{
-				"tput_kops":        r.TputKops,
-				"max_shard_p99_ns": float64(r.MaxShardP99),
-				"cross_acked":      float64(r.CrossAcked),
-				"wall_ms":          wallMs,
-				"speedup_vs_w1":    speedup,
-				"cores":            float64(runtime.NumCPU()),
-			},
-		})
 		t.AddRow(fmt.Sprint(w), fmt.Sprint(r.Acked), fmt.Sprint(r.CrossAcked),
 			fmt.Sprint(r.Elapsed), fmt.Sprintf("%.1f", r.TputKops),
 			us(r.Lat.Mean), us(r.Lat.P99),

@@ -81,6 +81,9 @@ type (
 	Group = core.Group
 	// GroupConfig tunes ring depths and the replenisher.
 	GroupConfig = core.Config
+	// Backend is the replication-backend seam both Group and NaiveGroup
+	// satisfy; a shard plane builds its groups as Backends.
+	Backend = core.Backend
 	// Result reports a primitive's outcome.
 	Result = core.Result
 	// ExecuteMap selects gCAS participants.
@@ -249,8 +252,9 @@ const (
 // CoreReplicator adapts a Group for the storage engines.
 func CoreReplicator(g *Group) Replicator { return wal.CoreReplicator{G: g} }
 
-// NaiveReplicator adapts a NaiveGroup for the storage engines.
-func NaiveReplicator(g *NaiveGroup) Replicator { return wal.NaiveReplicator{G: g} }
+// NaiveReplicator adapts a NaiveGroup for the storage engines — the same
+// adapter: both groups are a core.Backend.
+func NaiveReplicator(g *NaiveGroup) Replicator { return wal.CoreReplicator{G: g} }
 
 // NodeStore adapts a node's NVM window to the WAL's local-store interface.
 func NodeStore(n *Node) wal.Store { return wal.NodeStore{N: n} }

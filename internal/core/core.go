@@ -74,6 +74,23 @@ type Result struct {
 	Err      error
 }
 
+// Backend is the replication-backend seam: the group-primitive surface
+// every layer above a group (wal, shard, load, experiments) is written
+// against. *Group (HyperLoop) and *naive.Group (the replica-CPU baseline)
+// both satisfy it directly; a third arm is one more implementation. A
+// primitive either returns a synchronous refusal (done never fires) or
+// completes through done exactly once. gCAS stays outside the seam: the two
+// arms disagree on the execute-map type and only lock managers need it.
+type Backend interface {
+	GWrite(off, size int, durable bool, done func(Result)) error
+	GMemcpy(dstOff, srcOff, size int, durable bool, done func(Result)) error
+	GFlush(done func(Result)) error
+	Failed() error
+	Close()
+}
+
+var _ Backend = (*Group)(nil)
+
 // Config tunes a Group. Zero values take defaults.
 type Config struct {
 	// Depth is the number of operations each primitive ring accommodates

@@ -56,7 +56,7 @@ func naiveRig(t *testing.T, n int, cfg Config) *rig {
 	})
 	ng := naive.New(cl, naive.Config{Mode: naive.Event})
 	backend := Backend{
-		Rep:      wal.NaiveReplicator{G: ng},
+		Rep:      wal.CoreReplicator{G: ng},
 		Replicas: cl.Replicas(),
 	}
 	ready := false

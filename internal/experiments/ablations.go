@@ -9,6 +9,7 @@ import (
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/stats"
+	"hyperloop/internal/wal"
 )
 
 // AblationFlush quantifies the cost of durability: gWRITE with and without
@@ -220,34 +221,13 @@ func MultiGroupCoLocation(sys System, groups, ops int, seed int64) (MultiGroupPo
 	servers := cl.Replicas()
 	client := cl.Client()
 
-	type member struct {
-		write func(off, size int, done func(error)) error
-		fail  func() error
-	}
-	mk := func() member {
-		switch sys {
-		case HyperLoop:
-			g := core.NewWithNodes(eng, client, servers, core.Config{Depth: 512})
-			return member{
-				write: func(off, size int, done func(error)) error {
-					return g.GWrite(off, size, true, func(r core.Result) { done(r.Err) })
-				},
-				fail: g.Failed,
-			}
-		default:
-			g := naive.NewWithNodes(eng, client, servers, naive.Config{Mode: naive.Event})
-			return member{
-				write: func(off, size int, done func(error)) error {
-					return g.GWrite(off, size, true, func(r naive.Result) { done(r.Err) })
-				},
-				fail: g.Failed,
-			}
-		}
-	}
-
-	members := make([]member, groups)
+	members := make([]wal.CoreReplicator, groups)
 	for i := range members {
-		members[i] = mk()
+		if sys == HyperLoop {
+			members[i].G = core.NewWithNodes(eng, client, servers, core.Config{Depth: 512})
+		} else {
+			members[i].G = naive.NewWithNodes(eng, client, servers, naive.Config{Mode: naive.Event})
+		}
 	}
 	// Distinct 64KB windows per group so stores do not collide.
 	for i := range members {
@@ -259,7 +239,7 @@ func MultiGroupCoLocation(sys System, groups, ops int, seed int64) (MultiGroupPo
 		i := i
 		var loop func()
 		loop = func() {
-			members[i].write(i<<16, 1024, func(err error) {
+			members[i].Write(i<<16, 1024, true, func(err error) {
 				if err == nil {
 					loop()
 				}
@@ -274,7 +254,7 @@ func MultiGroupCoLocation(sys System, groups, ops int, seed int64) (MultiGroupPo
 	var probe func()
 	probe = func() {
 		start := eng.Now()
-		members[0].write(0, 1024, func(err error) {
+		members[0].Write(0, 1024, true, func(err error) {
 			if err == nil {
 				hist.Record(eng.Now().Sub(start))
 			}
@@ -285,11 +265,12 @@ func MultiGroupCoLocation(sys System, groups, ops int, seed int64) (MultiGroupPo
 		})
 	}
 	probe()
-	if !eng.RunUntil(func() bool { return completed >= ops || members[0].fail() != nil },
+	failed := members[0].G.Failed
+	if !eng.RunUntil(func() bool { return completed >= ops || failed() != nil },
 		eng.Now().Add(120*sim.Second)) {
-		return MultiGroupPoint{}, fmt.Errorf("multigroup stalled at %d/%d (%v)", completed, ops, members[0].fail())
+		return MultiGroupPoint{}, fmt.Errorf("multigroup stalled at %d/%d (%v)", completed, ops, failed())
 	}
-	if err := members[0].fail(); err != nil {
+	if err := failed(); err != nil {
 		return MultiGroupPoint{}, err
 	}
 	return MultiGroupPoint{Groups: groups, Probe: hist.Summarize()}, nil

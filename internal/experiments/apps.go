@@ -10,7 +10,6 @@ import (
 	"hyperloop/internal/kvstore"
 	"hyperloop/internal/locks"
 	"hyperloop/internal/metrics"
-	"hyperloop/internal/naive"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/stats"
 	"hyperloop/internal/wal"
@@ -81,28 +80,9 @@ func RocksDB(p AppParams) (RocksDBResult, error) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Config{Nodes: 4, StoreSize: 64 << 20, Seed: p.Seed})
 
-	var rep wal.Replicator
-	var failed func() error
-	switch p.System {
-	case HyperLoop:
-		g := core.New(cl, core.Config{Depth: 2048, MaxInflight: 256})
-		defer g.Close()
-		rep = wal.CoreReplicator{G: g}
-		failed = g.Failed
-	default:
-		cfg := naive.Config{Mode: naive.Event, MaxInflight: 256}
-		if p.System == NaivePolling {
-			cfg.Mode = naive.Polling
-		}
-		if p.System == NaivePinned {
-			cfg.Mode = naive.Polling
-			cfg.PinCore = true
-		}
-		g := naive.New(cl, cfg)
-		defer g.Close()
-		rep = wal.NaiveReplicator{G: g}
-		failed = g.Failed
-	}
+	be := newBackend(p.System, cl)
+	defer be.Close()
+	rep, failed := wal.CoreReplicator{G: be}, be.Failed
 
 	ready := false
 	db := kvstore.Open(wal.NodeStore{N: cl.Client()}, rep,
@@ -255,25 +235,12 @@ func MongoDB(p AppParams) (MongoResult, error) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Config{Nodes: 4, StoreSize: 64 << 20, Seed: p.Seed})
 
-	backend := docstore.Backend{Replicas: cl.Replicas()}
-	var failed func() error
-	switch p.System {
-	case HyperLoop:
-		g := core.New(cl, core.Config{Depth: 2048, MaxInflight: 256})
-		defer g.Close()
-		backend.Rep = wal.CoreReplicator{G: g}
+	be := newBackend(p.System, cl)
+	defer be.Close()
+	failed := be.Failed
+	backend := docstore.Backend{Rep: wal.CoreReplicator{G: be}, Replicas: cl.Replicas()}
+	if g, ok := be.(*core.Group); ok {
 		backend.Locks = locks.New(g, eng, 60<<20, locks.Config{})
-		failed = g.Failed
-	default:
-		cfg := naive.Config{Mode: naive.Event, MaxInflight: 256}
-		if p.System == NaivePolling || p.System == NaivePinned {
-			cfg.Mode = naive.Polling
-			cfg.PinCore = p.System == NaivePinned
-		}
-		g := naive.New(cl, cfg)
-		defer g.Close()
-		backend.Rep = wal.NaiveReplicator{G: g}
-		failed = g.Failed
 	}
 
 	ready := false

@@ -5,19 +5,13 @@ import (
 	"errors"
 	"fmt"
 
-	"hyperloop/internal/chain"
 	"hyperloop/internal/check"
 	"hyperloop/internal/cluster"
-	"hyperloop/internal/core"
 	"hyperloop/internal/faults"
-	"hyperloop/internal/locks"
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/objstore"
 	"hyperloop/internal/sim"
-	"hyperloop/internal/span"
 	"hyperloop/internal/stream"
-	"hyperloop/internal/txn"
-	"hyperloop/internal/wal"
 )
 
 // Cold restore: one chain replica is destroyed for good (power-fail, never
@@ -25,13 +19,6 @@ import (
 // object store — snapshot install plus segment replay — instead of a live
 // peer copy. The client's WAL Reattach covers the records the stream had not
 // yet made cold-durable, so the invariant is RPO = zero acked writes lost.
-
-// Stream shape for cold-restore scenarios.
-const (
-	crPrefix     = "cold"
-	crFlushEvery = 500 * sim.Microsecond
-	crWindowSize = 8 * fmObjSlots
-)
 
 // ColdRestoreParams selects one cold-restore cell. Zero SegmentBytes and
 // SnapshotEvery take the scenario defaults (2 KiB segments, 25 ms
@@ -83,106 +70,37 @@ type ColdRestoreVerdict struct {
 // Pass reports whether every invariant check passed.
 func (v ColdRestoreVerdict) Pass() bool { return v.Checks.AllPass() }
 
-// RunColdRestoreScenario builds the fault-matrix stack plus a segment
-// streamer on the client's WAL, destroys the planned victim for good, and
-// repairs the chain from the object store. Same params, same verdict.
+// RunColdRestoreScenario runs the chaos rig with its stream shaped by p,
+// destroys the planned victim for good, and repairs the chain from the
+// object store. Same params, same verdict.
 func RunColdRestoreScenario(p ColdRestoreParams) ColdRestoreVerdict {
 	p.fill()
-	eng := sim.NewEngine()
-	cl := cluster.New(eng, cluster.Config{
-		Nodes:     2 + fmMembers,
-		StoreSize: fmStoreSize,
-		Seed:      p.Seed*2 + 1,
-	})
-	client := cl.Client()
-	members := cl.Replicas()[:fmMembers]
-	spare := cl.Replicas()[fmMembers]
-
-	chainCfg := chain.Config{HeartbeatEvery: sim.Millisecond, MissedThreshold: 5}
-	coreCfg := core.Config{Depth: 512, OpTimeout: 25 * sim.Millisecond}
-
-	sw := &switchGroup{g: core.NewWithNodes(eng, client, members, coreCfg)}
-	log := wal.New(wal.NodeStore{N: client}, sw, fmLogBase, fmLogSize, nil)
-
-	// The stream rides the WAL from sequence zero: the freshly formatted
-	// (all-zero) object window is its implicit baseline.
-	obs := objstore.New(eng, objstore.Config{Seed: p.Seed*3 + 11})
-	str := stream.NewStreamer(eng, obs, log, stream.StreamerConfig{
-		Prefix:        crPrefix,
-		WindowBase:    fmObjBase,
-		WindowSize:    crWindowSize,
-		SegmentBytes:  p.SegmentBytes,
-		FlushEvery:    crFlushEvery,
-		SnapshotEvery: p.SnapshotEvery,
-	}, client.StoreBytes)
-
-	lm := locks.New(sw, eng, fmLockBase, locks.Config{})
-	tm := txn.New(eng, log, wal.NodeStore{N: client}, lm, txn.Config{LockStripes: fmLockStripes})
-
-	reg := metrics.NewRegistry()
-	rec := span.NewRecorder(eng)
-	log.Instrument(reg, rec, "cold", eng.Now)
-	cluster.Instrument(reg, cl, "cold")
+	r := newChaosRig(p.Seed, "cold", p.SegmentBytes, p.SnapshotEvery)
+	eng, str := r.eng, r.str
 
 	spec := faults.PlanColdRestore(p.Seed)
-	plane := faults.NewPlane(eng, cl, p.Seed^0x5EED)
-	plane.SetSpans(rec)
+	victim := r.members[spec.VictimIdx]
 	// The victim dies for good: power-fail crash, restartAfter=0.
-	plane.CrashNode(spec.FaultAt, members[spec.VictimIdx], true, 0)
+	r.plane.CrashNode(spec.FaultAt, victim, true, 0)
 	if spec.KillUploader {
 		eng.Schedule(spec.UploaderCrashAt, str.Crash)
 		eng.Schedule(spec.UploaderCrashAt+crFlushEvery, str.Restart)
 	}
 
-	// Cold-restore repair: close the group, reset locks, take the spare, wait
-	// for the stream to cover every committed record (the uploader keeps
-	// draining — the client is alive), rebuild the spare's window from the
-	// object store, then rebuild the group, reattach the WAL (re-replicating
-	// the pending tail the stream never saw), reset locks durably, resume.
-	var mgr *chain.Manager
-	var repairErr error
+	// Cold-restore repair: wait for the stream to cover every committed
+	// record (the uploader keeps draining — the client is alive), then
+	// rebuild the spare's window from the object store; the pending tail the
+	// stream never saw rides the rig's WAL reattach.
 	var rpoCold uint64
 	var restoreStats stream.RestoreStats
 	restoreAttempts := 0
-	var resumedAt sim.Time
-	resumed := false
-	fail := func(err error) {
-		if repairErr == nil {
-			repairErr = err
-		}
-		mgr.Halt()
-	}
-	onFailure := func(failed *cluster.Node, survivors []*cluster.Node) {
-		sw.g.Close()
-		client.StoreWrite(fmLockBase, make([]byte, 8*fmLockStripes))
+	r.manage(func(sp *cluster.Node, rejoin func()) {
 		rpoCold = str.Lag()
-		sp, err := mgr.TakeSpare()
-		if err != nil {
-			fail(err)
-			return
-		}
-		finishRestore := func() {
-			newMembers := append(append([]*cluster.Node{}, survivors...), sp)
-			sw.g = core.NewWithNodes(eng, client, newMembers, coreCfg)
-			log.Reattach(sw, func(err error) {
-				if err != nil {
-					fail(fmt.Errorf("reattach: %w", err))
-				}
-			})
-			sw.Write(fmLockBase, 8*fmLockStripes, true, func(err error) {
-				if err != nil {
-					fail(fmt.Errorf("lock reset: %w", err))
-					return
-				}
-				mgr.Resume(newMembers)
-				resumedAt, resumed = eng.Now(), true
-			})
-		}
 		var attempt func()
 		attempt = func() {
 			restoreAttempts++
 			first := restoreAttempts == 1
-			r := stream.StartRestore(eng, obs, crPrefix,
+			rs := stream.StartRestore(eng, r.obs, crPrefix,
 				func(off int, data []byte) { sp.StoreWrite(off, data) },
 				func(rs stream.RestoreStats, err error) {
 					switch {
@@ -191,174 +109,49 @@ func RunColdRestoreScenario(p ColdRestoreParams) ColdRestoreVerdict {
 						// restarts the restore from scratch.
 						attempt()
 					case err != nil:
-						fail(fmt.Errorf("restore: %w", err))
+						r.fail(fmt.Errorf("restore: %w", err))
 					default:
 						restoreStats = rs
-						finishRestore()
+						rejoin()
 					}
 				})
 			if spec.KillRestorer && first {
-				eng.Schedule(spec.RestorerKillDelay, r.Abort)
+				eng.Schedule(spec.RestorerKillDelay, rs.Abort)
 			}
 		}
 		// Drain the stream before restoring: every committed record must be
 		// cold-durable; the appended-but-unexecuted tail rides Reattach.
 		var awaitCoverage func()
 		awaitCoverage = func() {
-			if log.Executing() > 0 || str.CoveredSeq() < log.Seq()-uint64(log.Pending()) {
+			if r.log.Executing() > 0 || str.CoveredSeq() < r.log.Seq()-uint64(r.log.Pending()) {
 				eng.Schedule(100*sim.Microsecond, awaitCoverage)
 				return
 			}
 			attempt()
 		}
 		awaitCoverage()
-	}
-	mgr = chain.NewManager(eng, client, members, []*cluster.Node{spare}, chainCfg, onFailure)
-	mgr.Instrument(reg, rec, "cold")
+	})
+	r.run(p.Seed)
 
-	// Same closed-loop workload as the fault matrix.
-	wr := sim.NewRand(p.Seed + 0x7777)
-	stopAt := sim.Time(0).Add(fmStopAt)
-	var recs []*check.TxnRecord
-	nextID := uint64(1)
-	inflight := 0
-	var issue func()
-	think := func() { eng.Schedule(wr.Exp(fmThinkMean), issue) }
-	issue = func() {
-		if eng.Now() >= stopAt {
-			return
-		}
-		if mgr.Paused() || sw.g.Failed() != nil {
-			eng.Schedule(200*sim.Microsecond, issue)
-			return
-		}
-		t, err := tm.Begin()
-		if err != nil {
-			return
-		}
-		n := 1 + wr.Intn(3)
-		slots := make([]int, 0, n)
-		seen := map[int]bool{}
-		for len(slots) < n {
-			s := wr.Intn(fmObjSlots)
-			if !seen[s] {
-				seen[s] = true
-				slots = append(slots, s)
-			}
-		}
-		txr := &check.TxnRecord{ID: nextID, Slots: slots}
-		nextID++
-		recs = append(recs, txr)
-		for _, s := range slots {
-			t.WriteUint64(fmObjBase+8*s, txr.ID)
-		}
-		inflight++
-		err = t.Commit(func(err error) {
-			inflight--
-			if err == nil {
-				txr.Acked = true
-			} else {
-				txr.Err = err
-			}
-			think()
-		})
-		if err != nil {
-			inflight--
-			txr.Err = err
-			think()
-		}
-	}
-	for i := 0; i < fmPipeline; i++ {
-		eng.Schedule(sim.Duration(i)*50*sim.Microsecond, issue)
-	}
-
-	deadline := sim.Time(0).Add(fmDeadline)
-	eng.RunFor(fmStopAt)
-	quiesced := eng.RunUntil(func() bool {
-		return inflight == 0 && (!mgr.Paused() || repairErr != nil)
-	}, deadline)
-
-	var drainErr error
-	for drainErr == nil && log.Pending() > 0 {
-		if !eng.RunUntil(log.Ready, deadline) {
-			drainErr = errors.New("drain: record never became ready")
-			break
-		}
-		replayDone, replayErr := false, error(nil)
-		if err := log.ExecuteAndAdvance(func(err error) { replayDone, replayErr = true, err }); err != nil {
-			drainErr = fmt.Errorf("drain: %w", err)
-			break
-		}
-		if !eng.RunUntil(func() bool { return replayDone }, deadline) {
-			drainErr = errors.New("drain: replay stalled")
-		} else if replayErr != nil {
-			drainErr = fmt.Errorf("drain replay: %w", replayErr)
-		}
-	}
-	if repairErr == nil && drainErr == nil {
-		flushed, flushErr := false, error(nil)
-		sw.Flush(func(err error) { flushed, flushErr = true, err })
-		if !eng.RunUntil(func() bool { return flushed }, deadline) {
-			drainErr = errors.New("final flush stalled")
-		} else if flushErr != nil {
-			drainErr = fmt.Errorf("final flush: %w", flushErr)
-		}
-	}
-	// Let the stream finish uploading everything committed, so the
-	// restore-equivalence check compares a complete manifest.
-	streamIdle := false
-	str.Quiesce(func() { streamIdle = true })
-	streamOK := eng.RunUntil(func() bool { return streamIdle }, deadline)
-	mgr.Halt()
-	plane.StopAll()
-
-	reg.Sample(eng.Now())
 	v := ColdRestoreVerdict{
 		Params:          p,
 		Spec:            spec,
-		Timeline:        plane.Timeline(),
-		Failovers:       mgr.Failovers(),
+		Timeline:        r.plane.Timeline(),
+		Failovers:       r.mgr.Failovers(),
+		DetectIn:        r.detectIn(spec.FaultAt),
 		RPOCold:         rpoCold,
 		RestoreAttempts: restoreAttempts,
 		Restore:         restoreStats,
 		Stream:          str.Stats(),
-		Store:           obs.Stats(),
-		Metrics:         reg,
+		Store:           r.obs.Stats(),
+		Metrics:         r.reg,
 	}
-	for _, r := range recs {
-		if r.Acked {
-			v.Committed++
-		} else {
-			v.Errored++
-		}
+	v.Committed, v.Errored = r.tally()
+	if at, ok := r.mgr.LastDetection(); ok && r.resumed {
+		v.RTO = r.resumedAt.Sub(at)
 	}
-	if at, ok := mgr.LastDetection(); ok {
-		v.DetectIn = at.Sub(sim.Time(0).Add(spec.FaultAt))
-		if resumed {
-			v.RTO = resumedAt.Sub(at)
-		}
-	}
-	v.AckedLost = ackedLost(client.StoreBytes(fmObjBase, 8*fmObjSlots), recs)
+	v.AckedLost = ackedLost(r.client.StoreBytes(fmObjBase, 8*fmObjSlots), r.recs)
 
-	live := func(n *cluster.Node) check.Image {
-		return check.Image{Name: fmt.Sprintf("n%d", n.Index), Read: n.StoreBytes}
-	}
-	durable := func(n *cluster.Node) check.Image {
-		return check.Image{Name: fmt.Sprintf("n%d-durable", n.Index), Read: n.Dev.DurableRead}
-	}
-	final := mgr.Members()
-	liveAll := []check.Image{live(client)}
-	for _, m := range final {
-		liveAll = append(liveAll, live(m))
-	}
-
-	detectBound := sim.Duration(chainCfg.MissedThreshold) * chainCfg.HeartbeatEvery
-	restoreEq := check.Result{Name: "restore-equivalence", Err: errors.New("stream never quiesced")}
-	if streamOK {
-		restoreEq = check.RestoreEquivalence(live(client), func() ([]byte, int, uint64, error) {
-			return stream.RebuildImage(obs.Peek, crPrefix)
-		})
-	}
 	rpo := check.Result{Name: "rpo-acked", Detail: fmt.Sprintf("0 of %d acked txns lost", v.Committed)}
 	if v.AckedLost > 0 {
 		rpo.Err = fmt.Errorf("%d acked transactions missing from the final image", v.AckedLost)
@@ -372,30 +165,24 @@ func RunColdRestoreScenario(p ColdRestoreParams) ColdRestoreVerdict {
 		restored.Err = errors.New("restorer kill arm planned but only one attempt ran")
 	}
 
+	client, liveAll := liveImage(r.client), r.liveAll()
 	v.Checks = append(v.Checks,
-		check.Result{Name: "repair", Err: repairErr, Detail: "cold-restore repair path clean"},
-		quiesceResult(quiesced, drainErr, v.Committed, v.Errored),
+		check.Result{Name: "repair", Err: r.repairErr, Detail: "cold-restore repair path clean"},
+		r.quiesceResult(v.Committed, v.Errored),
 		restored,
 		rpo,
-		restoreEq,
+		r.restoreEquivalence(),
 		check.WALSoundness(liveAll, fmLogBase, fmLogSize),
 		check.WALPrefix(liveAll, fmLogBase, fmLogSize),
 		check.LocksFree(liveAll, fmLockBase, fmLockStripes),
-		check.RegionEqual("object-converge", live(client), liveAll[1:], fmObjBase, crWindowSize),
-		check.TxnAtomicity(live(client), fmObjBase, fmObjSlots, derefRecs(recs)),
-		check.Membership(v.Failovers, true, mgr.Paused(),
-			len(final), fmMembers, v.DetectIn, detectBound, chainCfg.HeartbeatEvery),
-		check.SpanConservation(rec),
+		check.RegionEqual("object-converge", client, liveAll[1:], fmObjBase, crWindowSize),
+		check.TxnAtomicity(client, fmObjBase, fmObjSlots, r.txns()),
+		check.Membership(v.Failovers, true, r.mgr.Paused(),
+			len(liveAll)-1, fmMembers, v.DetectIn, chaosDetectBound, chaosChainCfg.HeartbeatEvery),
+		check.SpanConservation(r.rec),
 	)
-	for _, m := range final {
-		v.Checks = append(v.Checks, check.RegionEqual(
-			fmt.Sprintf("durable=live:n%d", m.Index), live(m),
-			[]check.Image{durable(m)}, 0, fmStoreSize))
-	}
 	// Victim post-mortem: the power-failed durable log must still recover.
-	pm := check.WALSoundness([]check.Image{durable(members[spec.VictimIdx])}, fmLogBase, fmLogSize)
-	pm.Name = "wal-soundness-victim"
-	v.Checks = append(v.Checks, pm)
+	v.Checks = append(v.Checks, r.durabilityChecks(victim)...)
 	return v
 }
 

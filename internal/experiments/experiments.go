@@ -14,6 +14,7 @@ import (
 	"hyperloop/internal/naive"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/stats"
+	"hyperloop/internal/wal"
 )
 
 // System selects a datapath implementation.
@@ -42,45 +43,18 @@ func (s System) String() string {
 	}
 }
 
-// groupAPI is the uniform primitive surface over both implementations.
-type groupAPI interface {
-	GWrite(off, size int, durable bool, done func(error)) error
-	GMemcpy(dst, src, size int, durable bool, done func(error)) error
-	GCAS(off int, old, new uint64, done func(error)) error
-	Failed() error
-	Close()
+// newBackend builds sys's replication group over cl (node 0 = client) with
+// the 256-op client window every paper-figure rig uses.
+func newBackend(sys System, cl *cluster.Cluster) core.Backend {
+	if sys == HyperLoop {
+		return core.New(cl, core.Config{Depth: 2048, MaxInflight: 256})
+	}
+	cfg := naive.Config{Mode: naive.Polling, PinCore: sys == NaivePinned, MaxInflight: 256}
+	if sys == NaiveEvent {
+		cfg.Mode = naive.Event
+	}
+	return naive.New(cl, cfg)
 }
-
-type coreAPI struct{ g *core.Group }
-
-func (a coreAPI) GWrite(off, size int, durable bool, done func(error)) error {
-	return a.g.GWrite(off, size, durable, func(r core.Result) { done(r.Err) })
-}
-func (a coreAPI) GMemcpy(dst, src, size int, durable bool, done func(error)) error {
-	return a.g.GMemcpy(dst, src, size, durable, func(r core.Result) { done(r.Err) })
-}
-func (a coreAPI) GCAS(off int, old, new uint64, done func(error)) error {
-	return a.g.GCAS(off, old, new, core.AllReplicas(a.g.GroupSize()), func(r core.Result) { done(r.Err) })
-}
-func (a coreAPI) Failed() error { return a.g.Failed() }
-func (a coreAPI) Close()        { a.g.Close() }
-
-type naiveAPI struct {
-	g *naive.Group
-	n int
-}
-
-func (a naiveAPI) GWrite(off, size int, durable bool, done func(error)) error {
-	return a.g.GWrite(off, size, durable, func(r naive.Result) { done(r.Err) })
-}
-func (a naiveAPI) GMemcpy(dst, src, size int, durable bool, done func(error)) error {
-	return a.g.GMemcpy(dst, src, size, durable, func(r naive.Result) { done(r.Err) })
-}
-func (a naiveAPI) GCAS(off int, old, new uint64, done func(error)) error {
-	return a.g.GCAS(off, old, new, ^uint64(0), func(r naive.Result) { done(r.Err) })
-}
-func (a naiveAPI) Failed() error { return a.g.Failed() }
-func (a naiveAPI) Close()        { a.g.Close() }
 
 // MicroParams configures a microbenchmark run (§6.1's setup: group of
 // replicas, stress-ng style co-located CPU load, fixed message size).
@@ -126,7 +100,7 @@ func (p *MicroParams) fill() {
 type microRig struct {
 	eng   *sim.Engine
 	cl    *cluster.Cluster
-	api   groupAPI
+	rep   wal.CoreReplicator // rep.G is the selected system's group
 	stops []func()
 }
 
@@ -148,21 +122,28 @@ func newMicroRig(p MicroParams) *microRig {
 			r.stops = append(r.stops, stop)
 		}
 	}
-	switch p.System {
-	case HyperLoop:
-		r.api = coreAPI{g: core.New(cl, core.Config{Depth: 2048, MaxInflight: 256})}
-	case NaiveEvent:
-		r.api = naiveAPI{g: naive.New(cl, naive.Config{Mode: naive.Event, MaxInflight: 256}), n: p.GroupSize}
-	case NaivePolling:
-		r.api = naiveAPI{g: naive.New(cl, naive.Config{Mode: naive.Polling, MaxInflight: 256}), n: p.GroupSize}
-	case NaivePinned:
-		r.api = naiveAPI{g: naive.New(cl, naive.Config{Mode: naive.Polling, PinCore: true, MaxInflight: 256}), n: p.GroupSize}
-	}
+	r.rep.G = newBackend(p.System, cl)
 	return r
 }
 
+// gcas issues a gCAS on every replica. gCAS is outside core.Backend (the
+// arms disagree on the execute-map type), so it dispatches on the group.
+func (r *microRig) gcas(off int, old, new uint64, done func(error)) {
+	cb := func(res core.Result) { done(res.Err) }
+	var err error
+	switch g := r.rep.G.(type) {
+	case *core.Group:
+		err = g.GCAS(off, old, new, core.AllReplicas(g.GroupSize()), cb)
+	case *naive.Group:
+		err = g.GCAS(off, old, new, ^uint64(0), cb)
+	}
+	if err != nil {
+		done(err)
+	}
+}
+
 func (r *microRig) close() {
-	r.api.Close()
+	r.rep.G.Close()
 	for _, s := range r.stops {
 		s()
 	}
@@ -199,10 +180,10 @@ func (r *microRig) runOps(ops, pipeline int, deadline sim.Duration,
 		launch()
 	}
 	r.eng.RunUntil(func() bool {
-		return completed >= ops || firstErr != nil || r.api.Failed() != nil
+		return completed >= ops || firstErr != nil || r.rep.G.Failed() != nil
 	}, r.eng.Now().Add(deadline))
-	if r.api.Failed() != nil {
-		return hist, r.api.Failed()
+	if r.rep.G.Failed() != nil {
+		return hist, r.rep.G.Failed()
 	}
 	if firstErr != nil {
 		return hist, firstErr

@@ -362,17 +362,17 @@ func TestNaiveEquivalence(t *testing.T) {
 			switch sp.kind {
 			case 0:
 				rg.cl.Client().StoreWrite(sp.off, sp.data)
-				rg.api.GWrite(sp.off, sp.size, true, next)
+				rg.rep.Write(sp.off, sp.size, true, next)
 			case 1:
-				rg.api.GMemcpy(sp.off, sp.src, sp.size, true, next)
+				rg.rep.Memcpy(sp.off, sp.src, sp.size, true, next)
 			default:
-				rg.api.GCAS(sp.off, 0, sp.new, next)
+				rg.gcas(sp.off, 0, sp.new, next)
 			}
 		}
 		step(0)
-		if !rg.eng.RunUntil(func() bool { return completed >= len(specs) || rg.api.Failed() != nil },
+		if !rg.eng.RunUntil(func() bool { return completed >= len(specs) || rg.rep.G.Failed() != nil },
 			rg.eng.Now().Add(30*sim.Second)) {
-			t.Fatalf("%v equivalence run stalled at %d (%v)", sys, completed, rg.api.Failed())
+			t.Fatalf("%v equivalence run stalled at %d (%v)", sys, completed, rg.rep.G.Failed())
 		}
 		out := make([][]byte, 3)
 		for i := range out {

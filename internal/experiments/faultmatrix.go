@@ -1,22 +1,11 @@
 package experiments
 
 import (
-	"errors"
-	"fmt"
-
-	"hyperloop/internal/chain"
 	"hyperloop/internal/check"
 	"hyperloop/internal/cluster"
-	"hyperloop/internal/core"
 	"hyperloop/internal/faults"
-	"hyperloop/internal/locks"
 	"hyperloop/internal/metrics"
-	"hyperloop/internal/objstore"
 	"hyperloop/internal/sim"
-	"hyperloop/internal/span"
-	"hyperloop/internal/stream"
-	"hyperloop/internal/txn"
-	"hyperloop/internal/wal"
 )
 
 // FaultMatrix: every fault-scenario class from the faults package, run
@@ -26,28 +15,6 @@ import (
 // self-contained deterministic simulation, fanned out over RunParallel like
 // every other sweep; results are assembled in input order so the verdict
 // table is bit-for-bit reproducible for a given base seed.
-
-// Store layout for fault scenarios (well under the 1 MiB store):
-// lock table at 0, object slots at 4 KiB, WAL at 64 KiB.
-const (
-	fmMembers     = 3
-	fmLockBase    = 0
-	fmLockStripes = 64
-	fmObjBase     = 4096
-	fmObjSlots    = 2048
-	fmLogBase     = 64 << 10
-	fmLogSize     = 192 << 10
-	fmStoreSize   = 1 << 20
-)
-
-// Workload shape: a closed loop of small multi-slot transactions that runs
-// through the fault and keeps going after repair.
-const (
-	fmPipeline  = 4
-	fmThinkMean = 400 * sim.Microsecond
-	fmStopAt    = 70 * sim.Millisecond
-	fmDeadline  = 400 * sim.Millisecond
-)
 
 // FaultParams selects one cell of the fault matrix.
 type FaultParams struct {
@@ -74,344 +41,61 @@ type FaultVerdict struct {
 // Pass reports whether every invariant check passed.
 func (v FaultVerdict) Pass() bool { return v.Checks.AllPass() }
 
-// switchGroup lets the WAL and lock manager survive a group rebuild: it
-// implements wal.Replicator and locks.CASer by delegating to the current
-// group, which the repair path swaps out underneath them.
-type switchGroup struct{ g *core.Group }
-
-func (s *switchGroup) do(err error, done func(error)) {
-	if err != nil && done != nil {
-		done(err)
-	}
-}
-
-func (s *switchGroup) Write(off, size int, durable bool, done func(error)) {
-	s.do(s.g.GWrite(off, size, durable, resWrap(done)), done)
-}
-
-func (s *switchGroup) Memcpy(dst, src, size int, durable bool, done func(error)) {
-	s.do(s.g.GMemcpy(dst, src, size, durable, resWrap(done)), done)
-}
-
-func (s *switchGroup) Flush(done func(error)) {
-	s.do(s.g.GFlush(resWrap(done)), done)
-}
-
-func (s *switchGroup) GCAS(off int, old, new uint64, exec core.ExecuteMap, done func(core.Result)) error {
-	return s.g.GCAS(off, old, new, exec, done)
-}
-
-// GAtomicLoop keeps the lock manager on the NIC-resident retry path across
-// a group rebuild (locks.LoopCASer is satisfied through the switch).
-func (s *switchGroup) GAtomicLoop(spec core.LoopSpec, done func(core.Result)) error {
-	return s.g.GAtomicLoop(spec, done)
-}
-
-// GWriteIf keeps the txn epoch fence wired to the current group.
-func (s *switchGroup) GWriteIf(off, size, guardOff int, want, mask uint64, done func(core.Result)) error {
-	return s.g.GWriteIf(off, size, guardOff, want, mask, done)
-}
-
-func (s *switchGroup) GroupSize() int { return s.g.GroupSize() }
-
-func resWrap(done func(error)) func(core.Result) {
-	if done == nil {
-		return nil
-	}
-	return func(res core.Result) { done(res.Err) }
-}
-
-// RunFaultScenario builds a fresh cluster (client + 3 chain members + 1
+// RunFaultScenario builds a fresh chaos rig (client + 3 chain members + 1
 // spare), runs a transaction workload through the planned fault, repairs the
-// chain if the fault is detected (spare promotion + catch-up + WAL reattach
-// + lock reset), quiesces, and runs every invariant checker. Same params,
-// same verdict — byte for byte.
+// chain if the fault is detected (spare promotion + live catch-up + WAL
+// reattach + lock reset), quiesces, and runs every invariant checker. Same
+// params, same verdict — byte for byte.
 func RunFaultScenario(p FaultParams) FaultVerdict {
-	eng := sim.NewEngine()
-	cl := cluster.New(eng, cluster.Config{
-		Nodes:     2 + fmMembers, // client + members + spare
-		StoreSize: fmStoreSize,
-		Seed:      p.Seed*2 + 1,
-	})
-	client := cl.Client()
-	members := cl.Replicas()[:fmMembers]
-	spare := cl.Replicas()[fmMembers]
-
-	chainCfg := chain.Config{HeartbeatEvery: sim.Millisecond, MissedThreshold: 5}
-	coreCfg := core.Config{Depth: 512, OpTimeout: 25 * sim.Millisecond}
-
-	sw := &switchGroup{g: core.NewWithNodes(eng, client, members, coreCfg)}
-	log := wal.New(wal.NodeStore{N: client}, sw, fmLogBase, fmLogSize, nil)
-	// Every matrix cell also streams the object window to a simulated object
-	// store, so the restore-equivalence property (rebuild from blobs ==
-	// client's live window) is exercised by every chaos class. The streamer
-	// only observes the WAL — the scenario unfolds identically without it.
-	obs := objstore.New(eng, objstore.Config{Seed: p.Seed*3 + 11})
-	str := stream.NewStreamer(eng, obs, log, stream.StreamerConfig{
-		Prefix:     crPrefix,
-		WindowBase: fmObjBase,
-		WindowSize: crWindowSize,
-		FlushEvery: crFlushEvery,
-	}, client.StoreBytes)
-	lm := locks.New(sw, eng, fmLockBase, locks.Config{})
-	tm := txn.New(eng, log, wal.NodeStore{N: client}, lm, txn.Config{LockStripes: fmLockStripes})
-
-	// Observability plane, always on: spans and counters only observe, so
-	// the scenario unfolds identically with or without them — and the
-	// span-conservation checker gets exercised by every chaos class.
-	reg := metrics.NewRegistry()
-	rec := span.NewRecorder(eng)
-	log.Instrument(reg, rec, "fm", eng.Now)
-	cluster.Instrument(reg, cl, "fm")
+	r := newChaosRig(p.Seed, "fm", 0, 0)
 
 	// Plan and install the fault before anything runs, so the fault timeline
 	// depends only on (class, seed).
-	detectBound := sim.Duration(chainCfg.MissedThreshold) * chainCfg.HeartbeatEvery
-	spec := faults.Plan(p.Class, p.Seed, fmMembers, detectBound)
-	plane := faults.NewPlane(eng, cl, p.Seed^0x5EED)
-	plane.SetSpans(rec)
-	spec.Install(plane, members)
+	spec := faults.Plan(p.Class, p.Seed, fmMembers, chaosDetectBound)
+	spec.Install(r.plane, r.members)
 
-	// Chain repair: tear down the failed group, reset the lock table, promote
-	// the spare, catch it up from the client's store, rebuild the group over
-	// survivors + spare, reattach the WAL (re-replicating unexecuted
-	// records), and re-replicate the lock reset durably before resuming.
-	var mgr *chain.Manager
-	var repairErr error
-	fail := func(err error) {
-		if repairErr == nil {
-			repairErr = err
-		}
-		mgr.Halt()
-	}
-	onFailure := func(failed *cluster.Node, survivors []*cluster.Node) {
-		sw.g.Close()
-		client.StoreWrite(fmLockBase, make([]byte, 8*fmLockStripes))
-		sp, err := mgr.TakeSpare()
-		if err != nil {
-			fail(err)
-			return
-		}
-		mgr.CatchUp(sp, 0, fmStoreSize, func(err error) {
+	// The spare catches up from the client's store.
+	r.manage(func(sp *cluster.Node, rejoin func()) {
+		r.mgr.CatchUp(sp, 0, fmStoreSize, func(err error) {
 			if err != nil {
-				fail(err)
+				r.fail(err)
 				return
 			}
-			newMembers := append(append([]*cluster.Node{}, survivors...), sp)
-			sw.g = core.NewWithNodes(eng, client, newMembers, coreCfg)
-			log.Reattach(sw, func(err error) {
-				if err != nil {
-					fail(fmt.Errorf("reattach: %w", err))
-				}
-			})
-			sw.Write(fmLockBase, 8*fmLockStripes, true, func(err error) {
-				if err != nil {
-					fail(fmt.Errorf("lock reset: %w", err))
-					return
-				}
-				mgr.Resume(newMembers)
-			})
+			rejoin()
 		})
-	}
-	mgr = chain.NewManager(eng, client, members, []*cluster.Node{spare}, chainCfg, onFailure)
-	mgr.Instrument(reg, rec, "fm")
+	})
+	r.run(p.Seed)
 
-	// Closed-loop workload: fmPipeline strands, each committing transactions
-	// of 1–3 distinct slots stamped with the transaction ID, thinking an
-	// exponential gap between commits, holding off while the chain is paused.
-	wr := sim.NewRand(p.Seed + 0x7777)
-	stopAt := sim.Time(0).Add(fmStopAt)
-	var recs []*check.TxnRecord
-	nextID := uint64(1)
-	inflight := 0
-	var issue func()
-	think := func() { eng.Schedule(wr.Exp(fmThinkMean), issue) }
-	issue = func() {
-		if eng.Now() >= stopAt {
-			return
-		}
-		if mgr.Paused() || sw.g.Failed() != nil {
-			eng.Schedule(200*sim.Microsecond, issue)
-			return
-		}
-		t, err := tm.Begin()
-		if err != nil {
-			return
-		}
-		n := 1 + wr.Intn(3)
-		slots := make([]int, 0, n)
-		seen := map[int]bool{}
-		for len(slots) < n {
-			s := wr.Intn(fmObjSlots)
-			if !seen[s] {
-				seen[s] = true
-				slots = append(slots, s)
-			}
-		}
-		rec := &check.TxnRecord{ID: nextID, Slots: slots}
-		nextID++
-		recs = append(recs, rec)
-		for _, s := range slots {
-			t.WriteUint64(fmObjBase+8*s, rec.ID)
-		}
-		inflight++
-		err = t.Commit(func(err error) {
-			inflight--
-			if err == nil {
-				rec.Acked = true
-			} else {
-				rec.Err = err
-			}
-			think()
-		})
-		if err != nil {
-			inflight--
-			rec.Err = err
-			think()
-		}
-	}
-	for i := 0; i < fmPipeline; i++ {
-		eng.Schedule(sim.Duration(i)*50*sim.Microsecond, issue)
-	}
-
-	// Run the workload through fault and repair, then quiesce: no commit in
-	// flight and the chain unpaused (or the repair definitively failed).
-	deadline := sim.Time(0).Add(fmDeadline)
-	eng.RunFor(fmStopAt)
-	quiesced := eng.RunUntil(func() bool {
-		return inflight == 0 && (!mgr.Paused() || repairErr != nil)
-	}, deadline)
-
-	// Drain: replay any still-pending durably-logged records (from
-	// indeterminate commits interrupted by the fault) so the object region
-	// reaches its final converged state, then flush everything.
-	var drainErr error
-	for drainErr == nil && log.Pending() > 0 {
-		if !eng.RunUntil(log.Ready, deadline) {
-			drainErr = errors.New("drain: record never became ready")
-			break
-		}
-		replayDone, replayErr := false, error(nil)
-		if err := log.ExecuteAndAdvance(func(err error) { replayDone, replayErr = true, err }); err != nil {
-			drainErr = fmt.Errorf("drain: %w", err)
-			break
-		}
-		if !eng.RunUntil(func() bool { return replayDone }, deadline) {
-			drainErr = errors.New("drain: replay stalled")
-		} else if replayErr != nil {
-			drainErr = fmt.Errorf("drain replay: %w", replayErr)
-		}
-	}
-	if repairErr == nil && drainErr == nil {
-		flushed, flushErr := false, error(nil)
-		sw.Flush(func(err error) { flushed, flushErr = true, err })
-		if !eng.RunUntil(func() bool { return flushed }, deadline) {
-			drainErr = errors.New("final flush stalled")
-		} else if flushErr != nil {
-			drainErr = fmt.Errorf("final flush: %w", flushErr)
-		}
-	}
-	// Let the stream finish uploading everything committed before comparing
-	// the rebuilt image against the live window.
-	streamIdle := false
-	str.Quiesce(func() { streamIdle = true })
-	streamOK := eng.RunUntil(func() bool { return streamIdle }, deadline)
-	mgr.Halt()
-	plane.StopAll()
-
-	// Assemble the verdict.
-	reg.Sample(eng.Now())
 	v := FaultVerdict{
 		Params:    p,
 		Spec:      spec,
-		Timeline:  plane.Timeline(),
-		Failovers: mgr.Failovers(),
-		Metrics:   reg,
+		Timeline:  r.plane.Timeline(),
+		Failovers: r.mgr.Failovers(),
+		DetectIn:  r.detectIn(spec.FaultAt),
+		Metrics:   r.reg,
 	}
-	for _, r := range recs {
-		if r.Acked {
-			v.Committed++
-		} else {
-			v.Errored++
-		}
-	}
-	if at, ok := mgr.LastDetection(); ok {
-		v.DetectIn = at.Sub(sim.Time(0).Add(spec.FaultAt))
-	}
+	v.Committed, v.Errored = r.tally()
 
-	live := func(n *cluster.Node) check.Image {
-		return check.Image{Name: fmt.Sprintf("n%d", n.Index), Read: n.StoreBytes}
-	}
-	durable := func(n *cluster.Node) check.Image {
-		return check.Image{Name: fmt.Sprintf("n%d-durable", n.Index), Read: n.Dev.DurableRead}
-	}
-	final := mgr.Members()
-	liveAll := []check.Image{live(client)}
-	for _, m := range final {
-		liveAll = append(liveAll, live(m))
-	}
-
+	client, liveAll := liveImage(r.client), r.liveAll()
 	v.Checks = append(v.Checks,
-		check.Result{Name: "repair", Err: repairErr, Detail: "chain repair path clean"},
-		quiesceResult(quiesced, drainErr, v.Committed, v.Errored),
+		check.Result{Name: "repair", Err: r.repairErr, Detail: "chain repair path clean"},
+		r.quiesceResult(v.Committed, v.Errored),
 		check.WALSoundness(liveAll, fmLogBase, fmLogSize),
 		check.WALPrefix(liveAll, fmLogBase, fmLogSize),
 		check.LocksFree(liveAll, fmLockBase, fmLockStripes),
-		check.RegionEqual("object-converge", live(client), liveAll[1:], fmObjBase, 8*fmObjSlots),
-		check.TxnAtomicity(live(client), fmObjBase, fmObjSlots, derefRecs(recs)),
-		check.Membership(v.Failovers, spec.ExpectFailover, mgr.Paused(),
-			len(final), fmMembers, v.DetectIn, detectBound, chainCfg.HeartbeatEvery),
-		check.SpanConservation(rec),
+		check.RegionEqual("object-converge", client, liveAll[1:], fmObjBase, 8*fmObjSlots),
+		check.TxnAtomicity(client, fmObjBase, fmObjSlots, r.txns()),
+		check.Membership(v.Failovers, spec.ExpectFailover, r.mgr.Paused(),
+			len(liveAll)-1, fmMembers, v.DetectIn, chaosDetectBound, chaosChainCfg.HeartbeatEvery),
+		check.SpanConservation(r.rec),
+		r.restoreEquivalence(),
 	)
-	restoreEq := check.Result{Name: "restore-equivalence", Err: errors.New("stream never quiesced")}
-	if streamOK {
-		restoreEq = check.RestoreEquivalence(live(client), func() ([]byte, int, uint64, error) {
-			return stream.RebuildImage(obs.Peek, crPrefix)
-		})
-	}
-	v.Checks = append(v.Checks, restoreEq)
-	// Every surviving member's durable image must match its live view after
-	// the final flush — nothing the client was promised lives only in a
-	// volatile cache.
-	for _, m := range final {
-		v.Checks = append(v.Checks, check.RegionEqual(
-			fmt.Sprintf("durable=live:n%d", m.Index), live(m),
-			[]check.Image{durable(m)}, 0, fmStoreSize))
-	}
-	// Victim post-mortem for hard faults: whatever the crash (or power
-	// failure) left on the victim's durable media must still recover as a
-	// valid log — possibly truncated, never corrupt.
+	var victim *cluster.Node
 	if spec.ExpectFailover {
-		victim := members[spec.VictimIdx]
-		pm := check.WALSoundness([]check.Image{durable(victim)}, fmLogBase, fmLogSize)
-		pm.Name = "wal-soundness-victim"
-		v.Checks = append(v.Checks, pm)
+		victim = r.members[spec.VictimIdx]
 	}
+	v.Checks = append(v.Checks, r.durabilityChecks(victim)...)
 	return v
-}
-
-func quiesceResult(quiesced bool, drainErr error, committed, errored int) check.Result {
-	res := check.Result{
-		Name:   "quiesce",
-		Detail: fmt.Sprintf("%d committed, %d indeterminate", committed, errored),
-	}
-	switch {
-	case !quiesced:
-		res.Err = errors.New("workload did not quiesce before deadline")
-	case drainErr != nil:
-		res.Err = drainErr
-	case committed == 0:
-		res.Err = errors.New("no transaction committed")
-	}
-	return res
-}
-
-func derefRecs(recs []*check.TxnRecord) []check.TxnRecord {
-	out := make([]check.TxnRecord, len(recs))
-	for i, r := range recs {
-		out[i] = *r
-	}
-	return out
 }
 
 // FaultMatrix runs seedsPerClass scenarios of every class in classes,

@@ -21,9 +21,7 @@ func GWriteLatency(p MicroParams) (stats.Summary, error) {
 	defer r.close()
 	r.cl.Client().StoreWrite(0, make([]byte, p.MsgSize))
 	hist, err := r.runOps(p.Ops, p.Pipeline, budget(p), func(i int, done func(error)) {
-		if err := r.api.GWrite(0, p.MsgSize, p.Durable, done); err != nil {
-			done(err)
-		}
+		r.rep.Write(0, p.MsgSize, p.Durable, done)
 	})
 	return hist.Summarize(), err
 }
@@ -36,9 +34,7 @@ func GMemcpyLatency(p MicroParams) (stats.Summary, error) {
 	r.cl.Client().StoreWrite(0, make([]byte, p.MsgSize))
 	dst := 1 << 20
 	hist, err := r.runOps(p.Ops, p.Pipeline, budget(p), func(i int, done func(error)) {
-		if err := r.api.GMemcpy(dst, 0, p.MsgSize, p.Durable, done); err != nil {
-			done(err)
-		}
+		r.rep.Memcpy(dst, 0, p.MsgSize, p.Durable, done)
 	})
 	return hist.Summarize(), err
 }
@@ -54,9 +50,7 @@ func GCASLatency(p MicroParams) (stats.Summary, error) {
 		if i%2 == 1 {
 			old, new = 1, 0
 		}
-		if err := r.api.GCAS(0, old, new, done); err != nil {
-			done(err)
-		}
+		r.gcas(0, old, new, done)
 	})
 	return hist.Summarize(), err
 }
@@ -154,9 +148,7 @@ func Throughput(sys System, msgSize, totalBytes int, seed int64) (ThroughputPoin
 	}
 	start := r.eng.Now()
 	_, err := r.runOps(p.Ops, p.Pipeline, 120*sim.Second, func(i int, done func(error)) {
-		if err := r.api.GWrite(0, p.MsgSize, false, done); err != nil {
-			done(err)
-		}
+		r.rep.Write(0, p.MsgSize, false, done)
 	})
 	if err != nil {
 		return ThroughputPoint{}, err

@@ -105,7 +105,7 @@ func Motivation(p MotivationParams) (MotivationResult, error) {
 		})
 		base := i * stride
 		st := docstore.Open(eng, primary, docstore.Backend{
-			Rep:      wal.NaiveReplicator{G: g},
+			Rep:      wal.CoreReplicator{G: g},
 			Replicas: backups,
 		}, docstore.Config{
 			JournalBase: base,

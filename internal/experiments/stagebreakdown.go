@@ -116,7 +116,7 @@ func RunStageBreakdown(p MicroParams) StageBreakdownResult {
 	_, err := rig.runOps(p.Ops, 1, 120*sim.Second, func(i int, done func(error)) {
 		bridge.Reset()
 		start = rig.eng.Now()
-		issueErr := rig.api.GWrite(0, p.MsgSize, true, func(opErr error) {
+		rig.rep.Write(0, p.MsgSize, true, func(opErr error) {
 			if opErr == nil {
 				end := rig.eng.Now()
 				res.EndToEnd += end.Sub(start)
@@ -125,9 +125,6 @@ func RunStageBreakdown(p MicroParams) StageBreakdownResult {
 			}
 			done(opErr)
 		})
-		if issueErr != nil {
-			done(issueErr)
-		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("stage breakdown (%v): %v", p.System, err))

@@ -69,13 +69,13 @@ type Config struct {
 	// QoS starts one qos.Controller per group: tenant keysets become
 	// shard-scoped, verdicts flow into per-tenant metric series, and
 	// sustained saturation can fund migration-backed scale-out within each
-	// tenant's budget. Requires the hyperloop arm; forces Metrics on.
+	// tenant's budget. Works on either arm (scale-out is a plane migration,
+	// whatever the backend); forces Metrics on.
 	QoS bool
 	// QoSConfig tunes the controllers (zero fields take qos defaults).
 	QoSConfig qos.Config
 
-	// Metrics attaches per-group registries; WithSpans per-group op spans
-	// (HyperLoop arm only).
+	// Metrics attaches per-group registries; WithSpans per-group op spans.
 	Metrics   bool
 	WithSpans bool
 }
@@ -169,9 +169,8 @@ type Result struct {
 	QoSEvents  []qos.Event
 	QoSTenants []qos.TenantState
 
-	// Placements is, per group in group order, the hyperloop arm's final
-	// shard→hosts map (nil for naive) — the audit trail tier-placement
-	// checks read after the run.
+	// Placements is, per group in group order, the final shard→hosts map —
+	// the audit trail tier-placement checks read after the run.
 	Placements [][][]int
 
 	// SpansStarted/Ended report the op-span ledger when WithSpans is set.
@@ -218,9 +217,6 @@ const keysetSize = 128
 func Run(cfg Config) Result {
 	cfg.fill()
 	if cfg.QoS {
-		if cfg.System != "hyperloop" {
-			panic("load: QoS requires the hyperloop arm (scale-out needs the shard plane)")
-		}
 		// The controllers observe tenant series living in the per-group
 		// registries; without them there is nothing to window.
 		cfg.Metrics = true
@@ -536,9 +532,7 @@ func Run(cfg Config) Result {
 				res.QoSTenants[i].Degraded = res.QoSTenants[i].Degraded || s.Degraded
 			}
 		}
-		if pl := srv.Plane(g); pl != nil {
-			res.Placements = append(res.Placements, pl.Map.Placements())
-		}
+		res.Placements = append(res.Placements, srv.Plane(g).Map.Placements())
 		if sp := srv.Spans(g); sp != nil {
 			started, ended, _, _ := sp.Counts()
 			res.SpansStarted += started

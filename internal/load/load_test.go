@@ -119,11 +119,20 @@ func TestRunQoSAccountingBalances(t *testing.T) {
 	}
 }
 
-// The Naive arm serves the same keyspace through the baseline datapath.
+// The Naive arm is the same serving plane over the baseline datapath: clean
+// accounting, no fusion, a real shard plane behind it, and — like the
+// HyperLoop arm — bit-identical results and metric dumps at any engine
+// worker count.
 func TestRunNaiveBackend(t *testing.T) {
-	cfg := tinyConfig("naive")
-	cfg.OfferedLoad = 200_000
-	r := Run(cfg)
+	run := func(workers int) Result {
+		cfg := tinyConfig("naive")
+		cfg.OfferedLoad = 200_000
+		cfg.Workers = workers
+		cfg.Metrics = true
+		cfg.WithSpans = true
+		return Run(cfg)
+	}
+	r := run(1)
 	if err := r.CheckAccounting(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +141,54 @@ func TestRunNaiveBackend(t *testing.T) {
 	}
 	if b, o := r.FusedBatches, r.FusedOps; b != 0 || o != 0 {
 		t.Fatalf("naive arm reported fusion (%d, %d)", b, o)
+	}
+	if len(r.Placements) != 2 || len(r.Placements[0]) != 1 {
+		t.Fatalf("placements %v: the naive arm must expose one plane per group", r.Placements)
+	}
+	if r.SpansStarted == 0 || r.SpansStarted != r.SpansEnded {
+		t.Fatalf("spans started=%d ended=%d: the naive arm must record op spans", r.SpansStarted, r.SpansEnded)
+	}
+
+	r4 := run(4)
+	if s1, s4 := summary(r), summary(r4); s1 != s4 {
+		t.Fatalf("results diverged across workers:\n  w1: %s\n  w4: %s", s1, s4)
+	}
+	d1, err := r.MergedRegistry().ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d4, err := r4.MergedRegistry().ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d1, d4) {
+		t.Fatal("metrics dumps differ across worker counts")
+	}
+}
+
+// QoS used to panic on the Naive arm for want of a shard plane. It has one
+// now: controllers run, buckets throttle, and the accounting stays exact.
+func TestRunNaiveQoS(t *testing.T) {
+	cfg := tinyConfig("naive")
+	cfg.OfferedLoad = 200_000
+	cfg.ShardsPerGroup = 2
+	cfg.HostsPerGroup = 5
+	cfg.Tenants = []TenantClass{
+		{Name: "steady", Weight: 1},
+		{Name: "metered", Weight: 1, RatePerSec: 20_000,
+			SLO: qos.SLO{Budget: qos.Budget{Escrow: 1, StepCost: 1, SpendCap: 1}}},
+	}
+	cfg.Admission.PerTenantQueues = true
+	cfg.QoS = true
+	r := Run(cfg)
+	if err := r.CheckAccounting(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdicts.Acked == 0 || r.Verdicts.ShedThrottled == 0 {
+		t.Fatalf("acked=%d throttled=%d: the QoS plane is not engaged", r.Verdicts.Acked, r.Verdicts.ShedThrottled)
+	}
+	if len(r.QoSTenants) != len(cfg.Tenants) {
+		t.Fatalf("controller ledgers for %d tenants, want %d", len(r.QoSTenants), len(cfg.Tenants))
 	}
 }
 

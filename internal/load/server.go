@@ -6,41 +6,55 @@ import (
 	"hyperloop/internal/cluster"
 	"hyperloop/internal/core"
 	"hyperloop/internal/fabric"
-	"hyperloop/internal/kvstore"
 	"hyperloop/internal/metrics"
 	"hyperloop/internal/naive"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/span"
-	"hyperloop/internal/wal"
 )
 
-// Server is the replicated data plane a load driver feeds: the HyperLoop
-// sharded plane or the Naive-RDMA baseline behind one Put surface. Both
-// arms run one group per sim partition and route the same keyspace with the
-// same salted group hash, so a driver's per-group keysets are identical
-// across systems and every Put stays partition-local.
-type Server interface {
-	Groups() int
-	PE() *sim.PartitionedEngine
-	// HomeGroup routes a key to the group whose driver must issue it.
-	HomeGroup(key string) int
-	// Put stores key=value from group g's front-end; g must be the key's
-	// home group. done fires exactly once on partition g.
-	Put(g int, key string, value []byte, done func(error))
-	// Cluster returns group g's cluster (for instrumentation).
-	Cluster(g int) *cluster.Cluster
-	// Plane returns group g's shard plane for control-plane actuation
-	// (migration-backed scale-out), or nil when the backend has none (the
-	// Naive arm serves but cannot elastically re-place shards).
-	Plane(g int) *shard.Plane
-	// Spans returns group g's span recorder (nil when not recording).
-	Spans(g int) *span.Recorder
-	// FusionStats sums (batches, fused ops) across the backend's groups.
-	FusionStats() (uint64, uint64)
-	Close()
+// Server is the replicated data plane a load driver feeds: one
+// shard.PartitionedPlane — a group per sim partition, every Put
+// partition-local — whose shards replicate over HyperLoop groups
+// (OpenHyperLoop) or Naive-RDMA chains (OpenNaive). The two arms share the
+// topology, routing, placement, migration and instrumentation; only the
+// shard.BackendFunc differs.
+type Server struct{ pp *shard.PartitionedPlane }
+
+func (s Server) Groups() int                { return s.pp.Groups() }
+func (s Server) PE() *sim.PartitionedEngine { return s.pp.PE }
+
+// HomeGroup routes a key to the group whose driver must issue it.
+func (s Server) HomeGroup(key string) int { return s.pp.HomeGroup(key) }
+
+// Put stores key=value from group g's front-end; g must be the key's home
+// group. done fires exactly once on partition g.
+func (s Server) Put(g int, key string, value []byte, done func(error)) {
+	s.pp.Put(g, key, value, done)
 }
+
+// Cluster returns group g's cluster (for instrumentation).
+func (s Server) Cluster(g int) *cluster.Cluster { return s.pp.Group(g).Cl }
+
+// Plane returns group g's shard plane for control-plane actuation
+// (migration-backed scale-out) and introspection; never nil.
+func (s Server) Plane(g int) *shard.Plane { return s.pp.Group(g) }
+
+// Spans returns group g's span recorder (nil unless ServerConfig.WithSpans).
+func (s Server) Spans(g int) *span.Recorder { return s.pp.Spans(g) }
+
+// FusionStats sums (batches, fused ops) across the backend's groups.
+func (s Server) FusionStats() (batches, ops uint64) {
+	for g := 0; g < s.pp.Groups(); g++ {
+		b, o := s.pp.Group(g).FusionStats()
+		batches += b
+		ops += o
+	}
+	return batches, ops
+}
+
+func (s Server) Close() { s.pp.Close() }
 
 // ServerConfig sizes either backend identically: the topology fields mirror
 // shard.PartitionedConfig so the two systems differ only in their datapath.
@@ -51,15 +65,15 @@ type ServerConfig struct {
 	Replicas       int // default 3
 	RegionSize     int // default 1 MiB
 	// FusionDepth is the HyperLoop WQE-chain fusion bound (default 1 =
-	// legacy one-op-per-doorbell issue; the Naive arm has no fusion path).
+	// legacy one-op-per-doorbell issue; Naive chains have no fusion path).
 	FusionDepth int
 	// DoorbellCost charges per-MMIO-ring NIC time on every node of either
 	// arm (default 0 = free doorbells, the legacy model).
 	DoorbellCost sim.Duration
 	// HostTiers labels every group's host pool (nil = untiered legacy pool;
 	// length HostsPerGroup otherwise) and TierNIC gives each tier its own
-	// NIC profile. The HyperLoop arm places and migrates by tier; the Naive
-	// arm ignores both (its chains have no placement control plane).
+	// NIC profile. Both arms place and migrate by tier: placement belongs to
+	// the plane, not to the backend.
 	HostTiers []shard.Tier
 	TierNIC   map[shard.Tier]rdma.Config
 	Workers   int
@@ -67,7 +81,7 @@ type ServerConfig struct {
 	// Metrics optionally attaches one registry per group (nil, or length
 	// Groups).
 	Metrics []*metrics.Registry
-	// WithSpans turns on per-group op-span recording (HyperLoop arm).
+	// WithSpans turns on per-group op-span recording.
 	WithSpans bool
 }
 
@@ -101,13 +115,20 @@ func (c *ServerConfig) fill() {
 // openLimit bounds WaitOpen for either backend.
 const openLimit = sim.Time(sim.Second)
 
-// hlServer is the HyperLoop arm: a shard.PartitionedPlane.
-type hlServer struct {
-	pp *shard.PartitionedPlane
-}
-
 // OpenHyperLoop builds the HyperLoop serving backend and drives it open.
 func OpenHyperLoop(cfg ServerConfig) (Server, error) {
+	return open(cfg, nil) // nil = the plane's default: HyperLoop groups
+}
+
+// OpenNaive builds the Naive-RDMA serving backend — the same plane with
+// replica CPUs back on the critical path of every hop — and drives it open.
+func OpenNaive(cfg ServerConfig) (Server, error) {
+	return open(cfg, func(eng *sim.Engine, client *cluster.Node, chain []*cluster.Node) core.Backend {
+		return naive.NewWithNodes(eng, client, chain, naive.Config{Mode: naive.Event})
+	})
+}
+
+func open(cfg ServerConfig, newBackend shard.BackendFunc) (Server, error) {
 	cfg.fill()
 	pp := shard.NewPartitionedPlane(shard.PartitionedConfig{
 		Groups:         cfg.Groups,
@@ -116,6 +137,7 @@ func OpenHyperLoop(cfg ServerConfig) (Server, error) {
 		Replicas:       cfg.Replicas,
 		RegionSize:     cfg.RegionSize,
 		Group:          core.Config{Depth: 512, FusionDepth: cfg.FusionDepth},
+		NewBackend:     newBackend,
 		Fabric:         fabric.Config{JitterFrac: -1},
 		NIC:            rdma.Config{DoorbellCost: cfg.DoorbellCost},
 		HostTiers:      cfg.HostTiers,
@@ -126,164 +148,7 @@ func OpenHyperLoop(cfg ServerConfig) (Server, error) {
 		WithSpans:      cfg.WithSpans,
 	})
 	if err := pp.WaitOpen(openLimit); err != nil {
-		return nil, fmt.Errorf("load: hyperloop open: %w", err)
+		return Server{}, fmt.Errorf("load: open: %w", err)
 	}
-	return &hlServer{pp: pp}, nil
-}
-
-func (s *hlServer) Groups() int                { return s.pp.Groups() }
-func (s *hlServer) PE() *sim.PartitionedEngine { return s.pp.PE }
-func (s *hlServer) HomeGroup(key string) int   { return s.pp.HomeGroup(key) }
-func (s *hlServer) Cluster(g int) *cluster.Cluster {
-	return s.pp.Group(g).Cl
-}
-func (s *hlServer) Spans(g int) *span.Recorder { return s.pp.Spans(g) }
-func (s *hlServer) Plane(g int) *shard.Plane   { return s.pp.Group(g) }
-
-func (s *hlServer) Put(g int, key string, value []byte, done func(error)) {
-	s.pp.Put(g, key, value, done)
-}
-
-func (s *hlServer) FusionStats() (uint64, uint64) {
-	var batches, ops uint64
-	for g := 0; g < s.pp.Groups(); g++ {
-		pl := s.pp.Group(g)
-		for sid := 0; sid < pl.Shards(); sid++ {
-			b, o := pl.Shard(sid).Group().FusionStats()
-			batches += b
-			ops += o
-		}
-	}
-	return batches, ops
-}
-
-func (s *hlServer) Close() { s.pp.Close() }
-
-// nvShard is one Naive-backed shard: a baseline chain and a kvstore head
-// over a carved region, mirroring shard.Plane's per-shard layout.
-type nvShard struct {
-	g  *naive.Group
-	db *kvstore.DB
-}
-
-// nvGroup is one group of the Naive arm: its own cluster on its own
-// partition, ShardsPerGroup baseline chains over a pooled host fleet.
-type nvGroup struct {
-	cl     *cluster.Cluster
-	smap   *shard.Map
-	shards []*nvShard
-}
-
-// nvServer is the Naive-RDMA arm: the same topology as the HyperLoop plane
-// with replica CPUs back on the critical path of every hop.
-type nvServer struct {
-	pe     *sim.PartitionedEngine
-	gmap   *shard.Map
-	groups []*nvGroup
-}
-
-// naive regions reuse the sharded plane's layout: a cache-line header pad,
-// the WAL, then the data area.
-const nvRegionHdr = 64
-
-// OpenNaive builds the Naive-RDMA serving backend and drives it open.
-func OpenNaive(cfg ServerConfig) (Server, error) {
-	cfg.fill()
-	interFabric := fabric.Config{PropDelay: 3000 * sim.Nanosecond}
-	pe := sim.NewPartitioned(cfg.Groups, interFabric.MinLatency())
-	pe.SetWorkers(cfg.Workers)
-	s := &nvServer{pe: pe, gmap: shard.NewHashMap(cfg.Groups)}
-
-	openDone := make([]int, cfg.Groups)
-	openErr := make([]error, cfg.Groups)
-	for g := 0; g < cfg.Groups; g++ {
-		g := g
-		eng := pe.Partition(g)
-		cl := cluster.New(eng, cluster.Config{
-			Nodes:     cfg.HostsPerGroup + 1,
-			StoreSize: cfg.ShardsPerGroup * cfg.RegionSize,
-			Fabric:    fabric.Config{JitterFrac: -1},
-			NIC:       rdma.Config{DoorbellCost: cfg.DoorbellCost},
-			Seed:      cfg.Seed + int64(g)*9973,
-		})
-		ng := &nvGroup{cl: cl, smap: shard.NewHashMap(cfg.ShardsPerGroup)}
-		client := cl.Client()
-		pool := cl.Replicas()
-		logSize := cfg.RegionSize / 4
-		for sid := 0; sid < cfg.ShardsPerGroup; sid++ {
-			hosts := make([]*cluster.Node, cfg.Replicas)
-			for i := range hosts {
-				hosts[i] = pool[(sid*cfg.Replicas+i)%cfg.HostsPerGroup]
-			}
-			ngr := naive.NewWithNodes(eng, client, hosts, naive.Config{Mode: naive.Event})
-			base := sid * cfg.RegionSize
-			db := kvstore.Open(wal.NodeStore{N: client}, wal.NaiveReplicator{G: ngr}, kvstore.Config{
-				LogBase:     base + nvRegionHdr,
-				LogSize:     logSize,
-				DataBase:    base + nvRegionHdr + logSize,
-				DataSize:    cfg.RegionSize - nvRegionHdr - logSize,
-				CommitEvery: 1,
-				Seed:        cfg.Seed + int64(g)*9973 + int64(sid)*7919,
-			}, func(err error) {
-				openDone[g]++
-				if err != nil && openErr[g] == nil {
-					openErr[g] = err
-				}
-			})
-			ng.shards = append(ng.shards, &nvShard{g: ngr, db: db})
-		}
-		s.groups = append(s.groups, ng)
-	}
-
-	// Drive the engines in deterministic chunks until every shard's log
-	// header is durable (mirrors shard.PartitionedPlane.WaitOpen).
-	const chunk = 100 * sim.Microsecond
-	for t := sim.Time(0).Add(chunk); ; t = t.Add(chunk) {
-		if t > openLimit {
-			t = openLimit
-		}
-		pe.Run(t)
-		all := true
-		for g := range openDone {
-			if openErr[g] != nil {
-				return nil, fmt.Errorf("load: naive group %d open: %w", g, openErr[g])
-			}
-			all = all && openDone[g] == cfg.ShardsPerGroup
-		}
-		if all {
-			return s, nil
-		}
-		if t == openLimit {
-			return nil, fmt.Errorf("load: naive backend not open by %v", openLimit)
-		}
-	}
-}
-
-func (s *nvServer) Groups() int                { return len(s.groups) }
-func (s *nvServer) PE() *sim.PartitionedEngine { return s.pe }
-
-func (s *nvServer) HomeGroup(key string) int {
-	return s.gmap.Route(shard.GroupKey(key))
-}
-
-func (s *nvServer) Cluster(g int) *cluster.Cluster { return s.groups[g].cl }
-func (s *nvServer) Spans(g int) *span.Recorder     { return nil }
-func (s *nvServer) Plane(g int) *shard.Plane       { return nil }
-
-func (s *nvServer) Put(g int, key string, value []byte, done func(error)) {
-	ng := s.groups[g]
-	sh := ng.shards[ng.smap.Route(key)]
-	if err := sh.db.Put(key, value, done); err != nil {
-		done(err) // synchronous refusal: the store never fires the callback
-	}
-}
-
-func (s *nvServer) FusionStats() (uint64, uint64) { return 0, 0 }
-
-func (s *nvServer) Close() {
-	for _, ng := range s.groups {
-		for _, sh := range ng.shards {
-			sh.g.Close()
-		}
-	}
+	return Server{pp: pp}, nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/core"
 	"hyperloop/internal/cpusched"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
@@ -41,13 +42,10 @@ var (
 	ErrBadArgs     = errors.New("naive: bad primitive arguments")
 )
 
-// Result mirrors core.Result for drop-in comparisons.
-type Result struct {
-	Seq     uint64
-	Latency sim.Duration
-	CASOld  []uint64
-	Err     error
-}
+// Result is core.Result, so *Group satisfies core.Backend with no wrapper.
+type Result = core.Result
+
+var _ core.Backend = (*Group)(nil)
 
 // Config tunes the baseline.
 type Config struct {
@@ -59,9 +57,9 @@ type Config struct {
 	// HandlerCPU is the host CPU demand per message hop: receive, parse,
 	// execute the memory op, and post the forward (default 2µs).
 	HandlerCPU sim.Duration
-	// PollPeriod is the poller's loop period when it is a scheduled task
-	// rather than pinned (default: the host time slice governs it).
-	MaxInflight int // client window (default 64)
+	// MaxInflight is the client window: un-acked ops beyond it queue
+	// client-side (default 64).
+	MaxInflight int
 }
 
 func (c *Config) fill() {

@@ -5,6 +5,7 @@ import (
 
 	"hyperloop/internal/core"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/wal"
 )
 
 // Live shard migration.
@@ -47,7 +48,7 @@ type migration struct {
 	p         *Plane
 	s         *Shard
 	destHosts []int
-	dest      *core.Group
+	dest      core.Backend
 	copyBase  int
 	copyEnd   int
 	chunks    int
@@ -106,7 +107,7 @@ func (m *migration) quiesce() {
 // across in durable gWRITE chunks.
 func (m *migration) bulk() {
 	p, s := m.p, m.s
-	m.dest = core.NewWithNodes(p.Eng, p.client, p.hostNodes(m.destHosts), p.cfg.Group)
+	m.dest = p.newBackend(m.destHosts)
 	m.copyBase, m.copyEnd = s.db.DataUsed()
 	p.note("shard %d: bulk copy [%#x,%#x) (%d bytes, %d-byte chunks)",
 		s.ID, m.copyBase, m.copyEnd, m.copyEnd-m.copyBase, p.cfg.ChunkBytes)
@@ -135,10 +136,7 @@ func (m *migration) copyChunk(off int) {
 
 // destWrite issues one durable gWRITE on the destination group.
 func (m *migration) destWrite(off, size int, done func(error)) {
-	err := m.dest.GWrite(off, size, true, func(r core.Result) { done(r.Err) })
-	if err != nil {
-		done(err)
-	}
+	wal.CoreReplicator{G: m.dest}.Write(off, size, true, done)
 }
 
 // fence bumps the epoch word locally and pushes it durably to the
@@ -170,7 +168,7 @@ func (m *migration) fence() {
 // cutover flips ownership to the destination and replays the WAL tail.
 func (m *migration) cutover(epoch uint64) {
 	p, s := m.p, m.s
-	old := s.rep.g
+	old := s.rep.G
 	oldHosts := s.replicas
 	s.epoch = epoch
 	if p.cfg.Spans != nil {
@@ -186,7 +184,7 @@ func (m *migration) cutover(epoch uint64) {
 	for _, h := range m.destHosts {
 		delete(s.former, h)
 	}
-	s.rep.g = m.dest
+	s.rep.G = m.dest
 	s.replicas = append([]int(nil), m.destHosts...)
 	if err := p.Map.Place(s.ID, m.destHosts); err != nil {
 		// Arguments were validated up front; a failure here is a bug.

@@ -95,7 +95,7 @@ func TestPlaneInstrumentedPutsAndSpans(t *testing.T) {
 	}
 
 	// Surface accessors used by dashboards.
-	if p.Shard(0).Group() == nil || p.Shard(0).DB() == nil {
+	if p.Shard(0).Backend() == nil || p.Shard(0).DB() == nil {
 		t.Fatal("shard accessors nil")
 	}
 	if p.Shard(0).LatencyEWMA() <= 0 {

@@ -27,12 +27,13 @@ type PartitionedConfig struct {
 	HostsPerGroup int
 	// Replicas is the chain length per shard (default 3).
 	Replicas int
-	// RegionSize / LogSize / CommitEvery / Group / Fabric / NIC configure
-	// every group's Plane exactly as in Config.
+	// RegionSize / LogSize / CommitEvery / Group / NewBackend / Fabric / NIC
+	// configure every group's Plane exactly as in Config.
 	RegionSize  int
 	LogSize     int
 	CommitEvery int
 	Group       core.Config
+	NewBackend  BackendFunc
 	Fabric      fabric.Config
 	NIC         rdma.Config
 	// CRAQ enables clean/dirty read serving on every group's plane exactly
@@ -151,6 +152,7 @@ func NewPartitionedPlane(cfg PartitionedConfig) *PartitionedPlane {
 			LogSize:     cfg.LogSize,
 			CommitEvery: cfg.CommitEvery,
 			Group:       cfg.Group,
+			NewBackend:  cfg.NewBackend,
 			Fabric:      cfg.Fabric,
 			NIC:         cfg.NIC,
 			CRAQ:        cfg.CRAQ,
@@ -229,12 +231,6 @@ const groupSalt = "\x00group\x00"
 func (pp *PartitionedPlane) HomeGroup(key string) int {
 	return pp.GroupMap.Route(groupSalt + key)
 }
-
-// GroupKey returns the salted form of key that group-level rings route.
-// External planes that must agree with HomeGroup (the Naive-RDMA serving
-// backend routes the same keyspace over its own group map) hash this through
-// a NewHashMap of the same group count.
-func GroupKey(key string) string { return groupSalt + key }
 
 // LocalPuts and ForwardedPuts report per-issuing-group put counts; call
 // between Run invocations.

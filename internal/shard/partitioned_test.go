@@ -181,9 +181,6 @@ func TestPartitionedPlaneCRAQReads(t *testing.T) {
 			found++
 		}
 	}
-	if pp.GroupMap.Route(GroupKey(keys[0])) != pp.HomeGroup(keys[0]) {
-		t.Fatal("GroupKey salting disagrees with HomeGroup")
-	}
 	acked := 0
 	for g, k := range keys {
 		g, k := g, k

@@ -58,8 +58,13 @@ type Config struct {
 	// ignores it, like Fabric). The zero value keeps legacy timing; setting
 	// DoorbellCost charges per-ring MMIO and makes WQE-chain fusion pay off.
 	NIC rdma.Config
-	// Group tunes every shard's HyperLoop group.
+	// Group tunes every shard's HyperLoop group (the default NewBackend).
 	Group core.Config
+	// NewBackend builds a shard's replication group over the front-end and
+	// an ordered replica chain: once per shard at open and once per
+	// migration for the destination. nil selects HyperLoop groups tuned by
+	// Group; the Naive-RDMA arm (or any other core.Backend) plugs in here.
+	NewBackend BackendFunc
 	// CommitEvery is the per-shard kvstore commit policy (default 1).
 	CommitEvery int
 	// CRAQ enables clean/dirty read serving at every chain replica
@@ -91,7 +96,16 @@ type Config struct {
 	Spans *span.Recorder
 }
 
+// BackendFunc constructs one replication group for a Plane.
+type BackendFunc func(eng *sim.Engine, client *cluster.Node, chain []*cluster.Node) core.Backend
+
 func (c *Config) fill() {
+	if c.NewBackend == nil {
+		group := c.Group
+		c.NewBackend = func(eng *sim.Engine, client *cluster.Node, chain []*cluster.Node) core.Backend {
+			return core.NewWithNodes(eng, client, chain, group)
+		}
+	}
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
@@ -121,45 +135,15 @@ func (c *Config) fill() {
 	}
 }
 
-// groupRep adapts a shard's *current* group to wal.Replicator; migration
-// swaps g underneath while the WAL and kvstore keep their handle (the
-// switch-group pattern wal.Reattach's generation fencing is built for).
-type groupRep struct{ g *core.Group }
-
-func wrapRes(done func(error)) func(core.Result) {
-	if done == nil {
-		return nil
-	}
-	return func(r core.Result) { done(r.Err) }
-}
-
-func (r *groupRep) Write(off, size int, durable bool, done func(error)) {
-	if err := r.g.GWrite(off, size, durable, wrapRes(done)); err != nil && done != nil {
-		done(err)
-	}
-}
-
-func (r *groupRep) Memcpy(dst, src, size int, durable bool, done func(error)) {
-	if err := r.g.GMemcpy(dst, src, size, durable, wrapRes(done)); err != nil && done != nil {
-		done(err)
-	}
-}
-
-func (r *groupRep) Flush(done func(error)) {
-	if err := r.g.GFlush(wrapRes(done)); err != nil && done != nil {
-		done(err)
-	}
-}
-
 // Shard is one keyspace partition: a region of every store window, a
-// HyperLoop group over its current replica set, and a kvstore head.
+// replication group over its current replica set, and a kvstore head.
 type Shard struct {
 	ID    int
 	plane *Plane
 	base  int // region base offset in the store window
 
-	epoch    uint64 // bumps at every migration cutover
-	rep      *groupRep
+	epoch    uint64              // bumps at every migration cutover
+	rep      *wal.CoreReplicator // rep.G is the current group; migration swaps it
 	db       *kvstore.DB
 	replicas []int // current replica host indexes (mirrors Map.Placement)
 
@@ -192,8 +176,8 @@ func (s *Shard) Ops() uint64 { return s.ops }
 // LatencyEWMA returns the exponentially weighted put latency.
 func (s *Shard) LatencyEWMA() sim.Duration { return s.latEWMA }
 
-// Group returns the shard's current HyperLoop group.
-func (s *Shard) Group() *core.Group { return s.rep.g }
+// Backend returns the shard's current replication group.
+func (s *Shard) Backend() core.Backend { return s.rep.G }
 
 // DB returns the shard's kvstore head.
 func (s *Shard) DB() *kvstore.DB { return s.db }
@@ -239,7 +223,7 @@ type Event struct {
 func (e Event) String() string { return fmt.Sprintf("%v %s", e.At, e.What) }
 
 // Plane is the sharded data plane: a shared front-end (cluster node 0)
-// driving one HyperLoop group per shard over a pooled replica fleet.
+// driving one replication group per shard over a pooled replica fleet.
 type Plane struct {
 	Eng    *sim.Engine
 	Cl     *cluster.Cluster
@@ -363,6 +347,11 @@ func Open(eng *sim.Engine, cl *cluster.Cluster, placement [][]int, cfg Config, d
 	return p
 }
 
+// newBackend builds a group over the given pool hosts, in chain order.
+func (p *Plane) newBackend(hosts []int) core.Backend {
+	return p.cfg.NewBackend(p.Eng, p.client, p.hostNodes(hosts))
+}
+
 // hostNodes maps host indexes to their cluster nodes.
 func (p *Plane) hostNodes(hosts []int) []*cluster.Node {
 	out := make([]*cluster.Node, len(hosts))
@@ -382,7 +371,7 @@ func (p *Plane) buildShard(sid int, opened func(error)) *Shard {
 		replicas: hosts,
 		former:   make(map[int]bool),
 	}
-	s.rep = &groupRep{g: core.NewWithNodes(p.Eng, p.client, p.hostNodes(hosts), p.cfg.Group)}
+	s.rep = &wal.CoreReplicator{G: p.newBackend(hosts)}
 	// The epoch word starts at 0 everywhere; write it locally so the head's
 	// view is explicit rather than implicit zeros.
 	p.client.StoreWrite(s.base+epochOff, epochBytes(0))
@@ -656,13 +645,26 @@ func (p *Plane) Flush(done func(error)) {
 	}
 }
 
+// FusionStats sums (batches, fused ops) over the shards whose backend fuses
+// WQE chains (HyperLoop groups); other backends contribute zero.
+func (p *Plane) FusionStats() (batches, ops uint64) {
+	for _, s := range p.shards {
+		if f, ok := s.rep.G.(interface{ FusionStats() (uint64, uint64) }); ok {
+			b, o := f.FusionStats()
+			batches += b
+			ops += o
+		}
+	}
+	return batches, ops
+}
+
 // Close stops the rebalancer and every shard's group.
 func (p *Plane) Close() {
 	if p.reb != nil {
 		p.reb.Stop()
 	}
 	for _, s := range p.shards {
-		s.rep.g.Close()
+		s.rep.G.Close()
 	}
 	p.open = false
 }

@@ -3,34 +3,29 @@ package wal
 import (
 	"hyperloop/internal/cluster"
 	"hyperloop/internal/core"
-	"hyperloop/internal/naive"
 )
 
-// CoreReplicator adapts a HyperLoop group to the Replicator interface.
-type CoreReplicator struct{ G *core.Group }
+// CoreReplicator is the one adapter from a core.Backend — either arm's
+// group — to Replicator. It is the only place a primitive's two refusal
+// paths (a synchronous error, or Result.Err through the callback) collapse
+// into Replicator's single done(error). Held by pointer, reassigning G swaps
+// the group underneath a live log; Log.Reattach then re-replicates the
+// pending tail onto the new group.
+type CoreReplicator struct{ G core.Backend }
 
 // Write implements Replicator via gWRITE (+gFLUSH when durable).
 func (r CoreReplicator) Write(off, size int, durable bool, done func(error)) {
-	err := r.G.GWrite(off, size, durable, wrap(done))
-	if err != nil && done != nil {
-		done(err)
-	}
+	refused(r.G.GWrite(off, size, durable, wrap(done)), done)
 }
 
 // Memcpy implements Replicator via gMEMCPY.
 func (r CoreReplicator) Memcpy(dst, src, size int, durable bool, done func(error)) {
-	err := r.G.GMemcpy(dst, src, size, durable, wrap(done))
-	if err != nil && done != nil {
-		done(err)
-	}
+	refused(r.G.GMemcpy(dst, src, size, durable, wrap(done)), done)
 }
 
 // Flush implements Replicator via gFLUSH.
 func (r CoreReplicator) Flush(done func(error)) {
-	err := r.G.GFlush(wrap(done))
-	if err != nil && done != nil {
-		done(err)
-	}
+	refused(r.G.GFlush(wrap(done)), done)
 }
 
 func wrap(done func(error)) func(core.Result) {
@@ -40,38 +35,12 @@ func wrap(done func(error)) func(core.Result) {
 	return func(res core.Result) { done(res.Err) }
 }
 
-// NaiveReplicator adapts the baseline group.
-type NaiveReplicator struct{ G *naive.Group }
-
-// Write implements Replicator over the baseline datapath.
-func (r NaiveReplicator) Write(off, size int, durable bool, done func(error)) {
-	err := r.G.GWrite(off, size, durable, wrapNaive(done))
+// refused turns a synchronous refusal into the callback the group will now
+// never fire.
+func refused(err error, done func(error)) {
 	if err != nil && done != nil {
 		done(err)
 	}
-}
-
-// Memcpy implements Replicator over the baseline datapath.
-func (r NaiveReplicator) Memcpy(dst, src, size int, durable bool, done func(error)) {
-	err := r.G.GMemcpy(dst, src, size, durable, wrapNaive(done))
-	if err != nil && done != nil {
-		done(err)
-	}
-}
-
-// Flush implements Replicator over the baseline datapath.
-func (r NaiveReplicator) Flush(done func(error)) {
-	err := r.G.GFlush(wrapNaive(done))
-	if err != nil && done != nil {
-		done(err)
-	}
-}
-
-func wrapNaive(done func(error)) func(naive.Result) {
-	if done == nil {
-		return nil
-	}
-	return func(res naive.Result) { done(res.Err) }
 }
 
 // NodeStore adapts a cluster node to the Store interface.

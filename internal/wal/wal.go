@@ -17,8 +17,8 @@ import (
 	"hyperloop/internal/span"
 )
 
-// Replicator is the group-primitive surface the log needs. Both core.Group
-// (HyperLoop) and naive.Group (baseline) satisfy it via thin adapters.
+// Replicator is the group-primitive surface the log needs. CoreReplicator
+// adapts any core.Backend (HyperLoop or the Naive baseline) to it.
 type Replicator interface {
 	// Write replicates [off, off+size) of the client's store to every
 	// replica; durable interleaves flushing.
