@@ -13,6 +13,8 @@ import (
 type memStore []byte
 
 func (m memStore) WriteLocal(off int, data []byte) { copy(m[off:], data) }
+func (m memStore) Window(off, size int) []byte     { return m[off : off+size] }
+func (m memStore) Persist(off, size int)           {}
 func (m memStore) ReadLocal(off, size int) []byte  { return m[off : off+size] }
 
 func img(name string, b []byte) Image {

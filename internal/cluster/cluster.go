@@ -41,6 +41,22 @@ func (n *Node) StoreWrite(off int, data []byte) {
 	b.Device().Store(b.Base()+off, data)
 }
 
+// StoreWindow returns the live bytes [off, off+size) of the node's store
+// window without copying: the peek for readers that only look, and the
+// place a CPU store can be built in. Bytes written through it are not
+// durable until StorePersist covers them.
+func (n *Node) StoreWindow(off, size int) []byte {
+	b := n.Store.Backing().(*rdma.NVMBacking)
+	return b.Device().View(b.Base()+off, size)
+}
+
+// StorePersist completes a CPU store built in place through StoreWindow:
+// together they are one StoreWrite, without the staging copy.
+func (n *Node) StorePersist(off, size int) {
+	b := n.Store.Backing().(*rdma.NVMBacking)
+	b.Device().Persist(b.Base()+off, size)
+}
+
 // Config sizes a cluster.
 type Config struct {
 	Nodes     int             // total machines including the client (node 0)

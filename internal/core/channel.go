@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -21,6 +22,7 @@ const (
 	chFlush
 	chLoop    // NIC-resident bounded atomic retry loop (template program)
 	chWriteIf // predicated gWRITE: guard word gates the write on each replica
+	numChanKinds
 )
 
 func (k chanKind) String() string {
@@ -42,8 +44,12 @@ func (k chanKind) String() string {
 	}
 }
 
-// op is a queued primitive invocation.
+// op is a queued primitive invocation. Records come from the group's free
+// list (newOp) and go back in finish once done has returned, so an op costs
+// no allocation in steady state; a released record is poisoned and finishing
+// or timing it out again panics.
 type op struct {
+	c         *channel // set by submit
 	seq       uint64
 	off       int
 	src       int
@@ -52,14 +58,51 @@ type op struct {
 	casOld    uint64
 	casNew    uint64
 	exec      ExecuteMap
-	loop      *LoopSpec // gATOMIC_LOOP parameters
-	guardOff  int       // gWRITE_IF: replica-local guard word offset
-	guardWant uint64    // gWRITE_IF: value the guard must match
-	guardMask uint64    // gWRITE_IF: compare mask (0 = full word)
-	attempts  int       // gATOMIC_LOOP: chain traversals executed
+	loop      LoopSpec // gATOMIC_LOOP parameters
+	guardOff  int      // gWRITE_IF: replica-local guard word offset
+	guardWant uint64   // gWRITE_IF: value the guard must match
+	guardMask uint64   // gWRITE_IF: compare mask (0 = full word)
+	attempts  int      // gATOMIC_LOOP: chain traversals executed
 	done      func(Result)
 	issued    sim.Time
 	timeout   sim.EventID
+	res       []uint64 // result-map buffer behind Result.CASOld, reused across ops
+	released  bool
+}
+
+// newOp returns a zeroed op record completing through done.
+func (g *Group) newOp(done func(Result)) *op {
+	n := len(g.freeOps)
+	if n == 0 {
+		return &op{done: done}
+	}
+	o := g.freeOps[n-1]
+	g.freeOps = g.freeOps[:n-1]
+	*o = op{done: done, res: o.res[:0]}
+	return o
+}
+
+// releaseOp poisons o and returns it to the free list.
+func (g *Group) releaseOp(o *op) {
+	o.released = true
+	o.done = nil
+	g.freeOps = append(g.freeOps, o)
+}
+
+// Fire is the op's OpTimeout expiry: the op is its own timer event. finish
+// cancels it before releasing the record.
+func (o *op) Fire() {
+	if o.released {
+		panic("core: released op timed out")
+	}
+	o.c.g.fail(fmt.Errorf("%w: %s op %d timed out", ErrGroupFailed, o.c.kind, o.seq))
+}
+
+// armTimeout starts o's OpTimeout clock, if the group has one.
+func (c *channel) armTimeout(o *op) {
+	if c.g.cfg.OpTimeout > 0 {
+		o.timeout = c.g.eng.ScheduleEvent(c.g.cfg.OpTimeout, o)
+	}
 }
 
 // hop is one replica's wiring for a channel.
@@ -103,15 +146,18 @@ type channel struct {
 
 	issued     uint64
 	acked      uint64
-	pending    []*op // in-flight, ack order = issue order (chain + RC)
-	waiting    []*op // queued behind MaxInflight / credits
-	pumpArmed  bool  // retry timer scheduled for credit-starved issues
-	flushArmed bool  // deferred fusion pump scheduled (FusionDepth > 1)
-	ackSlot    int   // bytes per ack ring slot
-	msgHead    int   // metadata message size entering hop 0
-	slotsSQ    int   // downstream SQ slots per op
-	slotsLQ    int   // loopback SQ slots per op
-	manipLen   int   // bytes of descriptor images peeled per hop
+	pending    fifo.Queue[*op] // in-flight, ack order = issue order (chain + RC)
+	waiting    fifo.Queue[*op] // queued behind MaxInflight / credits
+	pumpArmed  bool            // retry timer scheduled for credit-starved issues
+	flushArmed bool            // deferred fusion pump scheduled (FusionDepth > 1)
+	ackSlot    int             // bytes per ack ring slot
+	msgHead    int             // metadata message size entering hop 0
+	slotsSQ    int             // downstream SQ slots per op
+	slotsLQ    int             // loopback SQ slots per op
+	manipLen   int             // bytes of descriptor images peeled per hop
+
+	// The two deferred pumps, bound once so arming one allocates nothing.
+	pumpRetry, pumpFlush func()
 
 	// gATOMIC_LOOP template state: the client-side WQE program is posted
 	// once and re-armed by the NIC itself; per op the host only patches
@@ -205,6 +251,14 @@ func (c *channel) stagingSize(i int) int {
 // one primitive.
 func (g *Group) buildChannel(kind chanKind) *channel {
 	c := &channel{kind: kind, g: g}
+	c.pumpRetry = func() {
+		c.pumpArmed = false
+		c.pump()
+	}
+	c.pumpFlush = func() {
+		c.flushArmed = false
+		c.pump()
+	}
 	c.slotsSQ, c.slotsLQ, c.manipLen = geometry(kind)
 	n := len(g.replicas)
 	depth := g.cfg.Depth
@@ -569,14 +623,19 @@ func (c *channel) chainWQEs(ri, k int, down, loop *[]rdma.WQE) error {
 
 // failAll errors out all in-flight and queued ops.
 func (c *channel) failAll(reason error) {
-	for _, o := range append(c.pending, c.waiting...) {
-		c.finish(o, reason)
+	for c.pending.Len() > 0 {
+		c.finish(c.pending.Pop(), reason)
 	}
-	c.pending = nil
-	c.waiting = nil
+	for c.waiting.Len() > 0 {
+		c.finish(c.waiting.Pop(), reason)
+	}
 }
 
+// finish completes o through its callback and recycles the record.
 func (c *channel) finish(o *op, err error) {
+	if o.released {
+		panic("core: op finished twice")
+	}
 	c.g.eng.Cancel(o.timeout) // no-op for ops without a timeout
 	res := Result{
 		Seq:       o.seq,
@@ -585,33 +644,32 @@ func (c *channel) finish(o *op, err error) {
 		Err:       err,
 	}
 	res.Latency = res.Completed.Sub(res.Issued)
-	if err == nil && (c.kind == chCAS || c.kind == chWriteIf) {
-		res.CASOld = c.readResultMap(o.seq)
-	}
 	if c.kind == chLoop {
 		res.Attempts = o.attempts
-		// Exhaustion still surfaces the last attempt's observed values.
-		if err == nil || err == ErrRetriesExhausted {
-			res.CASOld = c.readResultMap(o.seq)
-		}
 	}
 	if err == nil {
 		c.g.opsCompleted++
 	}
 	if o.done != nil {
+		switch {
+		case err == nil && (c.kind == chCAS || c.kind == chWriteIf || c.kind == chLoop),
+			// Exhaustion still surfaces the last attempt's observed values.
+			err == ErrRetriesExhausted && c.kind == chLoop:
+			res.CASOld = c.readResultMap(o)
+		}
 		o.done(res)
 	}
+	c.g.releaseOp(o)
 }
 
-// readResultMap copies the gCAS result map out of the ack ring before the
-// slot can be reused.
-func (c *channel) readResultMap(seq uint64) []uint64 {
-	slot := c.ackRAM[c.ackOff(int(seq)):]
-	out := make([]uint64, len(c.g.replicas))
-	for i := range out {
-		out[i] = le64(slot[8*i:])
+// readResultMap copies the gCAS result map out of the ack ring, before the
+// slot can be reused, into o's own buffer (valid until o is released).
+func (c *channel) readResultMap(o *op) []uint64 {
+	slot := c.ackRAM[c.ackOff(int(o.seq)):]
+	for i := range c.g.replicas {
+		o.res = append(o.res, le64(slot[8*i:]))
 	}
-	return out
+	return o.res
 }
 
 // onAck handles a tail WRITE_IMM arriving at the client: acks are strictly
@@ -621,12 +679,11 @@ func (c *channel) onAck(e rdma.CQE) {
 		c.g.fail(fmt.Errorf("%w: %s ack status %s", ErrGroupFailed, c.kind, e.Status))
 		return
 	}
-	if len(c.pending) == 0 {
+	if c.pending.Len() == 0 {
 		c.g.fail(fmt.Errorf("%w: %s spurious ack imm=%d", ErrGroupFailed, c.kind, e.Imm))
 		return
 	}
-	o := c.pending[0]
-	c.pending = c.pending[1:]
+	o := c.pending.Pop()
 	if e.Imm != o.seq {
 		c.g.fail(fmt.Errorf("%w: %s ack order violation: imm=%d want %d", ErrGroupFailed, c.kind, e.Imm, o.seq))
 		return
@@ -649,16 +706,15 @@ func (c *channel) onAck(e rdma.CQE) {
 // at the same timestamp, ordered by the usual (time, seq) rule.
 func (c *channel) submit(o *op) error {
 	if c.g.failed != nil {
+		c.g.releaseOp(o)
 		return c.g.failed
 	}
-	c.waiting = append(c.waiting, o)
+	o.c = c
+	c.waiting.Push(o)
 	if c.g.cfg.FusionDepth > 1 {
 		if !c.flushArmed {
 			c.flushArmed = true
-			c.g.eng.Schedule(0, func() {
-				c.flushArmed = false
-				c.pump()
-			})
+			c.g.eng.Schedule(0, c.pumpFlush)
 		}
 		return nil
 	}
@@ -678,29 +734,24 @@ func (c *channel) pump() {
 		c.pumpLoop()
 		return
 	}
-	for len(c.waiting) > 0 && len(c.pending) < c.g.cfg.MaxInflight && c.issued < c.minCredit() {
+	for c.waiting.Len() > 0 && c.pending.Len() < c.g.cfg.MaxInflight && c.issued < c.minCredit() {
 		// Fuse up to FusionDepth adjacent ops of this primitive into one
 		// posting, bounded by the inflight window and replica credits.
-		n := len(c.waiting)
+		n := c.waiting.Len()
 		if d := c.g.cfg.FusionDepth; n > d {
 			n = d
 		}
-		if w := c.g.cfg.MaxInflight - len(c.pending); n > w {
+		if w := c.g.cfg.MaxInflight - c.pending.Len(); n > w {
 			n = w
 		}
 		if cr := int(c.minCredit() - c.issued); n > cr {
 			n = cr
 		}
-		batch := c.waiting[:n:n]
-		c.waiting = c.waiting[n:]
-		c.sendBatch(batch)
+		c.sendBatch(n)
 	}
-	if len(c.waiting) > 0 && len(c.pending) < c.g.cfg.MaxInflight && !c.pumpArmed {
+	if c.waiting.Len() > 0 && c.pending.Len() < c.g.cfg.MaxInflight && !c.pumpArmed {
 		c.pumpArmed = true
-		c.g.eng.Schedule(10*sim.Microsecond, func() {
-			c.pumpArmed = false
-			c.pump()
-		})
+		c.g.eng.Schedule(10*sim.Microsecond, c.pumpRetry)
 	}
 }
 

@@ -66,7 +66,10 @@ type Result struct {
 	Latency   sim.Duration
 	// CASOld holds, for gCAS and gATOMIC_LOOP, each replica's original value
 	// at the target offset, and for gWRITE_IF each replica's observed guard
-	// word (CASNotExecuted where the execute map skipped the replica).
+	// word (CASNotExecuted where the execute map skipped the replica). The
+	// slice is the op record's own buffer: it is valid until done returns,
+	// after which the record — and this memory — serves another op. Copy what
+	// must outlive the callback.
 	CASOld []uint64
 	// Attempts is, for gATOMIC_LOOP, the number of chain traversals the
 	// NIC-resident program executed before exiting (1 = first try won).
@@ -166,7 +169,8 @@ type Group struct {
 	client   *cluster.Node
 	replicas []*cluster.Node
 
-	channels map[chanKind]*channel
+	channels [numChanKinds]*channel
+	freeOps  []*op // finished op records, reused by newOp
 	failed   error
 	onError  func(error)
 	closed   bool
@@ -196,14 +200,12 @@ func NewWithNodes(eng *sim.Engine, client *cluster.Node, replicas []*cluster.Nod
 		cfg:      cfg,
 		client:   client,
 		replicas: replicas,
-		channels: make(map[chanKind]*channel),
 	}
-	kinds := []chanKind{chWrite, chCAS, chMemcpy, chFlush, chLoop, chWriteIf}
-	for _, k := range kinds {
-		g.channels[k] = g.buildChannel(k)
+	for k := range g.channels {
+		g.channels[k] = g.buildChannel(chanKind(k))
 	}
-	for _, k := range kinds {
-		g.channels[k].prime()
+	for _, ch := range g.channels {
+		ch.prime()
 	}
 	g.startReplenishers()
 	return g
@@ -261,9 +263,9 @@ func (g *Group) GWrite(off, size int, durable bool, done func(Result)) error {
 	if off+size > g.client.Store.Len() {
 		return ErrTooLarge
 	}
-	return g.channels[chWrite].submit(&op{
-		off: off, size: size, durable: durable, done: done,
-	})
+	o := g.newOp(done)
+	o.off, o.size, o.durable = off, size, durable
+	return g.channels[chWrite].submit(o)
 }
 
 // GCAS performs a compare-and-swap of the 8-byte word at offset off on every
@@ -273,9 +275,9 @@ func (g *Group) GCAS(off int, old, new uint64, exec ExecuteMap, done func(Result
 	if off < 0 || off+8 > g.client.Store.Len() {
 		return ErrBadArgs
 	}
-	return g.channels[chCAS].submit(&op{
-		off: off, casOld: old, casNew: new, exec: exec, done: done,
-	})
+	o := g.newOp(done)
+	o.off, o.casOld, o.casNew, o.exec = off, old, new, exec
+	return g.channels[chCAS].submit(o)
 }
 
 // GMemcpy copies size bytes from srcOff to dstOff within every replica's
@@ -290,15 +292,15 @@ func (g *Group) GMemcpy(dstOff, srcOff, size int, durable bool, done func(Result
 	if srcOff+size > limit || dstOff+size > limit {
 		return ErrTooLarge
 	}
-	return g.channels[chMemcpy].submit(&op{
-		off: dstOff, src: srcOff, size: size, durable: durable, done: done,
-	})
+	o := g.newOp(done)
+	o.off, o.src, o.size, o.durable = dstOff, srcOff, size, durable
+	return g.channels[chMemcpy].submit(o)
 }
 
 // GFlush drains the NIC cache into NVM on every replica (standalone gFLUSH,
 // Table 1): the ack implies all previously replicated data is durable.
 func (g *Group) GFlush(done func(Result)) error {
-	return g.channels[chFlush].submit(&op{done: done})
+	return g.channels[chFlush].submit(g.newOp(done))
 }
 
 // GAtomicLoop runs a bounded atomic retry loop as a NIC-resident WQE
@@ -323,8 +325,9 @@ func (g *Group) GAtomicLoop(spec LoopSpec, done func(Result)) error {
 	if spec.Budget < 0 {
 		return ErrBadArgs
 	}
-	sp := spec
-	return g.channels[chLoop].submit(&op{off: spec.Off, exec: spec.Exec, loop: &sp, done: done})
+	o := g.newOp(done)
+	o.off, o.exec, o.loop = spec.Off, spec.Exec, spec
+	return g.channels[chLoop].submit(o)
 }
 
 // GWriteIf replicates a predicated write (gWRITE_IF): each replica's NIC
@@ -344,9 +347,9 @@ func (g *Group) GWriteIf(off, size, guardOff int, want, mask uint64, done func(R
 	if size > g.cfg.PredPayloadCap {
 		return ErrTooLarge
 	}
-	return g.channels[chWriteIf].submit(&op{
-		off: off, size: size, guardOff: guardOff, guardWant: want, guardMask: mask, done: done,
-	})
+	o := g.newOp(done)
+	o.off, o.size, o.guardOff, o.guardWant, o.guardMask = off, size, guardOff, want, mask
+	return g.channels[chWriteIf].submit(o)
 }
 
 // String describes the group.
@@ -355,11 +358,21 @@ func (g *Group) String() string {
 }
 
 // startReplenishers schedules each replica's periodic ring top-up on its
-// host CPU (off the critical path).
+// host CPU (off the critical path). Each replica's tick and post steps are
+// bound once here, so a replenish round allocates nothing.
 func (g *Group) startReplenishers() {
 	for ri := range g.replicas {
 		ri := ri
-		var tick func()
+		var tick, post func()
+		post = func() {
+			if g.closed || g.failed != nil {
+				return
+			}
+			for _, ch := range g.channels {
+				ch.replenish(ri)
+			}
+			g.eng.Schedule(g.cfg.ReplenishEvery, tick)
+		}
 		tick = func() {
 			if g.closed || g.failed != nil {
 				return
@@ -373,15 +386,7 @@ func (g *Group) startReplenishers() {
 				return
 			}
 			demand := sim.Duration(need) * g.cfg.ChainPostCost
-			g.replicas[ri].Host.Submit("hl-replenish", demand, func() {
-				if g.closed || g.failed != nil {
-					return
-				}
-				for _, ch := range g.channels {
-					ch.replenish(ri)
-				}
-				g.eng.Schedule(g.cfg.ReplenishEvery, tick)
-			})
+			g.replicas[ri].Host.Submit("hl-replenish", demand, post)
 		}
 		g.eng.Schedule(g.cfg.ReplenishEvery, tick)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -48,8 +49,8 @@ type FanoutGroup struct {
 
 	issued  uint64
 	posted  int
-	pending []*op
-	waiting []*op
+	pending fifo.Queue[*op]
+	waiting fifo.Queue[*op]
 	failed  error
 }
 
@@ -120,12 +121,13 @@ func (g *FanoutGroup) fail(reason error) {
 		return
 	}
 	g.failed = reason
-	for _, o := range append(g.pending, g.waiting...) {
-		if o.done != nil {
-			o.done(Result{Seq: o.seq, Err: reason})
+	for _, q := range []*fifo.Queue[*op]{&g.pending, &g.waiting} {
+		for q.Len() > 0 {
+			if o := q.Pop(); o.done != nil {
+				o.done(Result{Seq: o.seq, Err: reason})
+			}
 		}
 	}
-	g.pending, g.waiting = nil, nil
 }
 
 // Failed returns the failure reason, or nil.
@@ -238,12 +240,11 @@ func (g *FanoutGroup) onAck(e rdma.CQE) {
 		g.fail(fmt.Errorf("%w: fanout ack %s", ErrGroupFailed, e.Status))
 		return
 	}
-	if len(g.pending) == 0 {
+	if g.pending.Len() == 0 {
 		g.fail(fmt.Errorf("%w: fanout spurious ack", ErrGroupFailed))
 		return
 	}
-	o := g.pending[0]
-	g.pending = g.pending[1:]
+	o := g.pending.Pop()
 	if _, err := g.ackQP.PostRecv(rdma.WQE{}); err != nil {
 		g.fail(err)
 		return
@@ -259,11 +260,9 @@ func (g *FanoutGroup) onAck(e rdma.CQE) {
 }
 
 func (g *FanoutGroup) pump() {
-	for len(g.waiting) > 0 && len(g.pending) < g.cfg.MaxInflight &&
+	for g.waiting.Len() > 0 && g.pending.Len() < g.cfg.MaxInflight &&
 		g.issued < uint64(g.posted) {
-		o := g.waiting[0]
-		g.waiting = g.waiting[1:]
-		g.send(o)
+		g.send(g.waiting.Pop())
 	}
 }
 
@@ -277,7 +276,7 @@ func (g *FanoutGroup) GWrite(off, size int, durable bool, done func(Result)) err
 	if off < 0 || size <= 0 || off+size > g.client.Store.Len() {
 		return ErrBadArgs
 	}
-	g.waiting = append(g.waiting, &op{off: off, size: size, durable: durable, done: done})
+	g.waiting.Push(&op{off: off, size: size, durable: durable, done: done})
 	g.pump()
 	return nil
 }
@@ -286,7 +285,7 @@ func (g *FanoutGroup) send(o *op) {
 	o.seq = g.issued
 	g.issued++
 	o.issued = g.eng.Now()
-	g.pending = append(g.pending, o)
+	g.pending.Push(o)
 	k := int(o.seq)
 
 	// Metadata: one WRITE image per backup, gathering from the primary's

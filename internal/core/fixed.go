@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -32,8 +33,8 @@ type FixedChain struct {
 	hops    []*fixedHop
 	issued  uint64
 	posted  int
-	pending []*op
-	waiting []*op
+	pending fifo.Queue[*op]
+	waiting fifo.Queue[*op]
 	failed  error
 }
 
@@ -89,12 +90,13 @@ func (g *FixedChain) fail(reason error) {
 		return
 	}
 	g.failed = reason
-	for _, o := range append(g.pending, g.waiting...) {
-		if o.done != nil {
-			o.done(Result{Seq: o.seq, Err: reason})
+	for _, q := range []*fifo.Queue[*op]{&g.pending, &g.waiting} {
+		for q.Len() > 0 {
+			if o := q.Pop(); o.done != nil {
+				o.done(Result{Seq: o.seq, Err: reason})
+			}
 		}
 	}
-	g.pending, g.waiting = nil, nil
 }
 
 // Failed returns the failure reason, or nil.
@@ -206,12 +208,11 @@ func (g *FixedChain) onAck(e rdma.CQE) {
 		g.fail(fmt.Errorf("%w: fixed ack %s", ErrGroupFailed, e.Status))
 		return
 	}
-	if len(g.pending) == 0 {
+	if g.pending.Len() == 0 {
 		g.fail(fmt.Errorf("%w: fixed spurious ack", ErrGroupFailed))
 		return
 	}
-	o := g.pending[0]
-	g.pending = g.pending[1:]
+	o := g.pending.Pop()
 	if _, err := g.ackQP.PostRecv(rdma.WQE{}); err != nil {
 		g.fail(err)
 		return
@@ -224,10 +225,8 @@ func (g *FixedChain) onAck(e rdma.CQE) {
 }
 
 func (g *FixedChain) pump() {
-	for len(g.waiting) > 0 && len(g.pending) < g.cfg.MaxInflight && g.issued < uint64(g.posted) {
-		o := g.waiting[0]
-		g.waiting = g.waiting[1:]
-		g.send(o)
+	for g.waiting.Len() > 0 && g.pending.Len() < g.cfg.MaxInflight && g.issued < uint64(g.posted) {
+		g.send(g.waiting.Pop())
 	}
 }
 
@@ -237,7 +236,7 @@ func (g *FixedChain) Write(done func(Result)) error {
 	if g.failed != nil {
 		return g.failed
 	}
-	g.waiting = append(g.waiting, &op{done: done})
+	g.waiting.Push(&op{done: done})
 	g.pump()
 	return nil
 }
@@ -246,7 +245,7 @@ func (g *FixedChain) send(o *op) {
 	o.seq = g.issued
 	g.issued++
 	o.issued = g.eng.Now()
-	g.pending = append(g.pending, o)
+	g.pending.Push(o)
 	post := func(w rdma.WQE) {
 		if g.failed != nil {
 			return

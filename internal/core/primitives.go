@@ -6,27 +6,23 @@ import (
 	"hyperloop/internal/rdma"
 )
 
-// sendBatch issues a run of ops on channel c as one fused posting: each
+// sendBatch issues the next n queued ops on channel c as one fused posting: each
 // op's per-replica descriptor images (the "metadata" of §4.1, pre-calculated
 // by the client) are staged, then every op's client-side work requests post
 // back to back with a single doorbell (rdma.PostSendBatch). Everything after
 // this — per-hop execution, forwarding, flushing, the tail ack — happens on
 // NICs. A batch of one is the legacy issue path with identical timing when
 // no DoorbellCost is configured.
-func (c *channel) sendBatch(ops []*op) {
+func (c *channel) sendBatch(n int) {
 	ws := c.cliWQEs[:0]
 	c.sgeArena = c.sgeArena[:0]
-	for _, o := range ops {
+	for i := 0; i < n; i++ {
+		o := c.waiting.Pop()
 		o.seq = c.issued
 		c.issued++
 		o.issued = c.g.eng.Now()
-		c.pending = append(c.pending, o)
-		if c.g.cfg.OpTimeout > 0 {
-			seq := o.seq
-			o.timeout = c.g.eng.Schedule(c.g.cfg.OpTimeout, func() {
-				c.g.fail(fmt.Errorf("%w: %s op %d timed out", ErrGroupFailed, c.kind, seq))
-			})
-		}
+		c.pending.Push(o)
+		c.armTimeout(o)
 		ws = c.clientWQEs(ws, o)
 	}
 	c.cliWQEs = ws
@@ -37,9 +33,9 @@ func (c *channel) sendBatch(ops []*op) {
 		c.g.fail(fmt.Errorf("%w: client post %s: %v", ErrGroupFailed, c.kind, err))
 		return
 	}
-	if len(ops) > 1 {
+	if n > 1 {
 		c.g.fusedBatches++
-		c.g.fusedOps += uint64(len(ops))
+		c.g.fusedOps += uint64(n)
 	}
 }
 

@@ -116,23 +116,18 @@ func (c *channel) postLoopTemplate() {
 // attempt count (the NIC consumes one instance per attempt, autonomously,
 // so the host reserves the whole budget up front).
 func (c *channel) pumpLoop() {
-	if len(c.pending) > 0 || len(c.waiting) == 0 {
+	if c.pending.Len() > 0 || c.waiting.Len() == 0 {
 		return
 	}
-	o := c.waiting[0]
-	maxAttempts := uint64(o.loop.Budget) + 1
+	maxAttempts := uint64(c.waiting.Front().loop.Budget) + 1
 	if c.minCredit() < c.loopAttempts+maxAttempts {
 		if !c.pumpArmed {
 			c.pumpArmed = true
-			c.g.eng.Schedule(10*sim.Microsecond, func() {
-				c.pumpArmed = false
-				c.pump()
-			})
+			c.g.eng.Schedule(10*sim.Microsecond, c.pumpRetry)
 		}
 		return
 	}
-	c.waiting = c.waiting[1:]
-	c.issueLoop(o)
+	c.issueLoop(c.waiting.Pop())
 }
 
 // issueLoop launches one gATOMIC_LOOP: stage the chain metadata, write the
@@ -143,13 +138,8 @@ func (c *channel) issueLoop(o *op) {
 	o.seq = c.issued
 	c.issued++
 	o.issued = c.g.eng.Now()
-	c.pending = append(c.pending, o)
-	if c.g.cfg.OpTimeout > 0 {
-		seq := o.seq
-		o.timeout = c.g.eng.Schedule(c.g.cfg.OpTimeout, func() {
-			c.g.fail(fmt.Errorf("%w: %s op %d timed out", ErrGroupFailed, c.kind, seq))
-		})
-	}
+	c.pending.Push(o)
+	c.armTimeout(o)
 	// Metadata into staging slot 0 (attempts reuse it; see stagingOff).
 	c.buildMetadata(c.cliStagingRAM[:c.msgHead], o, 0)
 	// Retry budget for the NIC to decrement.
@@ -192,12 +182,11 @@ func (c *channel) onLoopCQE(e rdma.CQE) {
 // completeLoop finishes the in-flight loop op, deriving the attempt count
 // from how much budget the NIC left behind.
 func (c *channel) completeLoop(err error) {
-	if len(c.pending) == 0 {
+	if c.pending.Len() == 0 {
 		c.g.fail(fmt.Errorf("%w: %s spurious program completion", ErrGroupFailed, c.kind))
 		return
 	}
-	o := c.pending[0]
-	c.pending = c.pending[1:]
+	o := c.pending.Pop()
 	remaining := le64(c.ctrlRAM)
 	o.attempts = o.loop.Budget - int(remaining) + 1
 	c.loopAttempts += uint64(o.attempts)

@@ -49,7 +49,7 @@ func TestPumpRetryCollision(t *testing.T) {
 
 	if !eng.RunUntil(func() bool { return done == ops }, eng.Now().Add(sim.Second)) {
 		t.Fatalf("channel stranded: done=%d of %d (waiting=%d pending=%d armed=%v)",
-			done, ops, len(ch.waiting), len(ch.pending), ch.pumpArmed)
+			done, ops, ch.waiting.Len(), ch.pending.Len(), ch.pumpArmed)
 	}
 	for i, n := range perOp {
 		if n != 1 {
@@ -61,8 +61,8 @@ func TestPumpRetryCollision(t *testing.T) {
 	}
 	// Let any stale retry timers fire into the idle channel.
 	eng.RunFor(500 * sim.Microsecond)
-	if len(ch.waiting) != 0 || len(ch.pending) != 0 {
-		t.Fatalf("channel not quiescent: waiting=%d pending=%d", len(ch.waiting), len(ch.pending))
+	if ch.waiting.Len() != 0 || ch.pending.Len() != 0 {
+		t.Fatalf("channel not quiescent: waiting=%d pending=%d", ch.waiting.Len(), ch.pending.Len())
 	}
 	for i := 0; i < ops; i++ {
 		if w := storeWord(t, g, 0, 512+8*i); w != uint64(i+1) {

@@ -13,6 +13,7 @@ package cpusched
 import (
 	"fmt"
 
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/sim"
 )
 
@@ -61,9 +62,15 @@ func (c *Config) fill() {
 // demand is consumed, then invoke their completion callback. Loop tasks
 // (StartLoop) are always runnable and receive an onRun callback at each
 // dispatch — they model tenant processes and busy-pollers.
+//
+// One-shot tasks are host-owned records: Submit takes one from the host's
+// free list and the host takes it back once done has returned (or the task
+// was stopped mid-service), so nothing outside this package may hold one.
 type Task struct {
 	name        string
 	host        *Host
+	id          uint64 // unique per Submit/StartLoop; a recycled record gets a new one
+	released    bool   // on the free list: dispatching it is a lifetime bug
 	remaining   sim.Duration
 	done        func()
 	loop        bool
@@ -102,11 +109,32 @@ func (t *Task) Stop() {
 	}
 }
 
+// coreState is one core. A busy core has exactly one slice outstanding, so
+// the core itself is the sim.Event that ends it (and, through the coreRun
+// view, the event that runs a loop task's body): a time slice allocates
+// nothing.
 type coreState struct {
+	host     *Host
 	busy     bool
-	lastTask *Task
+	task     *Task        // occupant of the current slice (meaningful while busy)
+	slice    sim.Duration // service the current slice grants task
+	lastID   uint64       // id of the last task dispatched here: a repeat pays no switch
 	busySum  sim.Duration // cumulative busy time
 	busyFrom sim.Time     // when current busy period started
+}
+
+// Fire ends the core's current slice.
+func (c *coreState) Fire() { c.host.sliceDone(c) }
+
+// coreRun is the core viewed as the "loop body runs" event of its current
+// slice. It fires after the switch cost and strictly before the slice ends,
+// so c.task is still the task the slice was granted to.
+type coreRun coreState
+
+func (c *coreRun) Fire() {
+	if t := c.task; !t.stopped {
+		t.onRun()
+	}
 }
 
 // Host is a simulated multi-core machine.
@@ -114,7 +142,11 @@ type Host struct {
 	eng  *sim.Engine
 	cfg  Config
 	r    *sim.Rand
-	runq []*Task
+	runq fifo.Queue[*Task]
+	// free holds finished one-shot task records for Submit to reuse; nextID
+	// numbers tasks so a recycled record never looks like a core's last task.
+	free   []*Task
+	nextID uint64
 	// cores[0:len-pinnedCores] participate in general scheduling.
 	cores       []*coreState
 	pinnedCores int
@@ -132,7 +164,7 @@ func NewHost(eng *sim.Engine, cfg Config) *Host {
 	h := &Host{eng: eng, cfg: cfg, r: sim.NewRand(cfg.Seed)}
 	h.cores = make([]*coreState, cfg.Cores)
 	for i := range h.cores {
-		h.cores[i] = &coreState{}
+		h.cores[i] = &coreState{host: h}
 	}
 	return h
 }
@@ -148,7 +180,7 @@ func (h *Host) Config() Config { return h.cfg }
 func (h *Host) ContextSwitches() uint64 { return h.contextSwitches }
 
 // RunQueueLen returns the number of tasks waiting (not running).
-func (h *Host) RunQueueLen() int { return len(h.runq) }
+func (h *Host) RunQueueLen() int { return h.runq.Len() }
 
 // MeanQueueWait returns the average run-queue wait per dispatch.
 func (h *Host) MeanQueueWait() sim.Duration {
@@ -182,14 +214,15 @@ func (h *Host) Utilization() float64 {
 // (their owners hold handles and must Stop them explicitly). Whatever the
 // node should run after reboot must be resubmitted by the application.
 func (h *Host) CrashReset() {
-	for _, t := range h.runq {
+	for i := 0; i < h.runq.Len(); i++ {
+		t := h.runq.At(i)
 		t.stopped = true
 		t.queued = false
 	}
-	h.runq = h.runq[:0]
+	h.runq.Clear()
 	for _, c := range h.schedulableCores() {
-		if c.busy && c.lastTask != nil {
-			c.lastTask.stopped = true
+		if c.busy && c.task != nil {
+			c.task.stopped = true
 		}
 	}
 }
@@ -210,13 +243,29 @@ func (h *Host) ResetAccounting() {
 	}
 }
 
+// newTask returns a zeroed task record — a recycled one when the free list
+// has any — with a fresh id.
+func (h *Host) newTask() *Task {
+	h.nextID++
+	n := len(h.free)
+	if n == 0 {
+		return &Task{host: h, id: h.nextID}
+	}
+	t := h.free[n-1]
+	h.free = h.free[:n-1]
+	*t = Task{host: h, id: h.nextID}
+	return t
+}
+
 // Submit enqueues a one-shot task needing demand CPU time; done fires when
-// the demand has been served. Returns the task handle.
-func (h *Host) Submit(name string, demand sim.Duration, done func()) *Task {
+// the demand has been served. The task record is the host's: it is recycled
+// after done returns, which is why Submit hands out no handle.
+func (h *Host) Submit(name string, demand sim.Duration, done func()) {
 	if demand < 0 {
 		demand = 0
 	}
-	t := &Task{name: name, host: h, remaining: demand, done: done}
+	t := h.newTask()
+	t.name, t.remaining, t.done = name, demand, done
 	if !h.cfg.NoWakeupBonus {
 		if h.r.Float64() >= h.cfg.WakeupDebtProb {
 			t.woken = true
@@ -225,14 +274,22 @@ func (h *Host) Submit(name string, demand sim.Duration, done func()) *Task {
 		}
 	}
 	h.enqueue(t)
-	return t
+}
+
+// release returns a finished one-shot task to the free list, poisoned: a
+// released record that is dispatched or completes again panics.
+func (h *Host) release(t *Task) {
+	t.released = true
+	t.done = nil
+	h.free = append(h.free, t)
 }
 
 // StartLoop registers an always-runnable task; onRun is invoked at each
 // dispatch (once per slice while it holds a core). Models tenant processes
 // and software busy-pollers.
 func (h *Host) StartLoop(name string, onRun func()) *Task {
-	t := &Task{name: name, host: h, loop: true, onRun: onRun}
+	t := h.newTask()
+	t.name, t.loop, t.onRun = name, true, onRun
 	h.enqueue(t)
 	return t
 }
@@ -248,7 +305,8 @@ func (h *Host) Pin(name string) *Task {
 	// logically (its current occupant finishes, then the core stays out of
 	// the general pool because schedulable() shrinks).
 	h.pinnedCores++
-	t := &Task{name: name, host: h, loop: true, pinned: true}
+	t := h.newTask()
+	t.name, t.loop, t.pinned = name, true, true
 	// Mark the reserved core busy for accounting as long as the pin holds.
 	c := h.cores[len(h.cores)-h.pinnedCores]
 	t.pinCore = c
@@ -278,25 +336,21 @@ func (h *Host) enqueue(t *Task) {
 		// woken tasks already queued.
 		t.woken = false
 		i := 0
-		for i < len(h.runq) && h.runq[i].wokenQueued {
+		for i < h.runq.Len() && h.runq.At(i).wokenQueued {
 			i++
 		}
 		t.wokenQueued = true
-		h.runq = append(h.runq, nil)
-		copy(h.runq[i+1:], h.runq[i:])
-		h.runq[i] = t
+		h.runq.Insert(i, t)
 	case t.debt:
 		// Vruntime debt: somewhere in the pack, a partial-round wait.
 		t.debt = false
 		i := 0
-		if len(h.runq) > 0 {
-			i = h.r.Intn(len(h.runq) + 1)
+		if n := h.runq.Len(); n > 0 {
+			i = h.r.Intn(n + 1)
 		}
-		h.runq = append(h.runq, nil)
-		copy(h.runq[i+1:], h.runq[i:])
-		h.runq[i] = t
+		h.runq.Insert(i, t)
 	default:
-		h.runq = append(h.runq, t)
+		h.runq.Push(t)
 	}
 	h.dispatch()
 }
@@ -304,14 +358,13 @@ func (h *Host) enqueue(t *Task) {
 // dispatch assigns queued tasks to idle cores.
 func (h *Host) dispatch() {
 	for _, c := range h.schedulableCores() {
-		if len(h.runq) == 0 {
+		if h.runq.Len() == 0 {
 			return
 		}
 		if c.busy {
 			continue
 		}
-		t := h.runq[0]
-		h.runq = h.runq[1:]
+		t := h.runq.Pop()
 		t.queued = false
 		t.wokenQueued = false
 		h.run(c, t)
@@ -320,12 +373,15 @@ func (h *Host) dispatch() {
 
 // run executes one scheduling quantum of t on core c.
 func (h *Host) run(c *coreState, t *Task) {
+	if t.released {
+		panic("cpusched: released task dispatched")
+	}
 	if t.stopped {
 		h.dispatch()
 		return
 	}
 	var overhead sim.Duration
-	if c.lastTask != t {
+	if c.lastID != t.id {
 		overhead = h.cfg.ContextSwitch
 		h.contextSwitches++
 	}
@@ -335,40 +391,42 @@ func (h *Host) run(c *coreState, t *Task) {
 
 	c.busy = true
 	c.busyFrom = h.eng.Now()
-	c.lastTask = t
+	c.task, c.lastID = t, t.id
 	t.active = true
 
 	slice := h.cfg.TimeSlice
 	if !t.loop && t.remaining < slice {
 		slice = t.remaining
 	}
-	runFor := overhead + slice
-	h.eng.Schedule(runFor, func() { h.sliceDone(c, t, slice) })
+	c.slice = slice
+	h.eng.ScheduleEvent(overhead+slice, c)
 
 	if t.loop && t.onRun != nil {
 		// The loop body observes the world once the switch cost is paid.
-		h.eng.Schedule(overhead, func() {
-			if !t.stopped {
-				t.onRun()
-			}
-		})
+		h.eng.ScheduleEvent(overhead, (*coreRun)(c))
 	}
 }
 
-func (h *Host) sliceDone(c *coreState, t *Task, served sim.Duration) {
+func (h *Host) sliceDone(c *coreState) {
+	t := c.task
+	if t.released {
+		panic("cpusched: slice ended for a released task")
+	}
 	c.busySum += h.eng.Now().Sub(c.busyFrom)
 	c.busy = false
 	t.active = false
 
 	if !t.loop {
-		t.remaining -= served
+		t.remaining -= c.slice
 		switch {
 		case t.stopped:
 			// Stopped (or crashed) mid-service: discard without firing done.
+			h.release(t)
 		case t.remaining <= 0:
 			if t.done != nil {
 				t.done()
 			}
+			h.release(t)
 		default:
 			h.requeueOrContinue(c, t)
 			return
@@ -384,7 +442,7 @@ func (h *Host) sliceDone(c *coreState, t *Task, served sim.Duration) {
 // goes to the back of the queue; otherwise it keeps the core (no switch
 // cost, since lastTask is unchanged).
 func (h *Host) requeueOrContinue(c *coreState, t *Task) {
-	if len(h.runq) > 0 {
+	if h.runq.Len() > 0 {
 		h.enqueue(t)
 		return
 	}

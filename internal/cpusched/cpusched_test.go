@@ -437,3 +437,64 @@ func TestCrashResetThenResubmit(t *testing.T) {
 		t.Fatal("host dead after CrashReset")
 	}
 }
+
+// A time slice costs no allocation: the core is its own slice event, loop
+// bodies run off the same record, and a finished one-shot task's record is
+// recycled by the next Submit.
+func TestSliceAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	h := newHost(eng, 2)
+	ran := 0
+	h.StartLoop("hog-a", nil)
+	h.StartLoop("hog-b", nil)
+	h.StartLoop("poller", func() { ran++ })
+	served := 0
+	handler := func() { served++ }
+	round := func() {
+		h.Submit("handler", 10*sim.Microsecond, handler) // wakeup placement: front of the queue
+		eng.RunFor(3 * sim.Millisecond)
+	}
+	round()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("steady-state scheduling allocates %v times per round", n)
+	}
+	if ran == 0 || served != 202 {
+		t.Fatalf("loop body ran %d times, %d handlers served", ran, served)
+	}
+}
+
+// A recycled task record must not look like the core's previous occupant: the
+// switch cost is charged per task, not per record.
+func TestRecycledTaskPaysSwitch(t *testing.T) {
+	eng := sim.NewEngine()
+	h := newHost(eng, 1)
+	var ends []sim.Time
+	for i := 0; i < 3; i++ {
+		h.Submit("job", 10*sim.Microsecond, func() { ends = append(ends, eng.Now()) })
+		eng.Drain()
+	}
+	if len(h.free) != 1 {
+		t.Fatalf("free list holds %d records, want the 1 being recycled", len(h.free))
+	}
+	for i := 1; i < len(ends); i++ {
+		if d := ends[i].Sub(ends[i-1]); d != 13*sim.Microsecond {
+			t.Fatalf("job %d took %v, want 13µs (switch + service)", i, d)
+		}
+	}
+	if h.ContextSwitches() != 3 {
+		t.Fatalf("context switches = %d, want 3", h.ContextSwitches())
+	}
+}
+
+func TestReleasedTaskPoisoned(t *testing.T) {
+	eng := sim.NewEngine()
+	h := newHost(eng, 1)
+	h.Submit("job", sim.Microsecond, nil)
+	eng.Drain()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dispatching a released task did not panic")
+		}
+	}()
+	h.run(h.cores[0], h.free[0])
+}

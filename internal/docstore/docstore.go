@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/locks"
 	"hyperloop/internal/memtable"
 	"hyperloop/internal/rdma"
@@ -134,7 +135,7 @@ type Store struct {
 	readQPs   []*rdma.QP
 	readBuf   *rdma.MemoryRegion
 	readBusy  bool
-	readQueue []func()
+	readQueue fifo.Queue[func()]
 
 	sinceCommit   int
 	committing    bool
@@ -459,10 +460,8 @@ func (s *Store) oneSidedRead(r int, node *cluster.Node, off, size int, done func
 			buf := make([]byte, size)
 			s.readBuf.Backing().ReadAt(0, buf)
 			s.readBusy = false
-			if len(s.readQueue) > 0 {
-				next := s.readQueue[0]
-				s.readQueue = s.readQueue[1:]
-				next()
+			if s.readQueue.Len() > 0 {
+				s.readQueue.Pop()()
 			}
 			if e.Status != rdma.StatusSuccess {
 				done(nil, fmt.Errorf("docstore: replica read %v", e.Status))
@@ -480,7 +479,7 @@ func (s *Store) oneSidedRead(r int, node *cluster.Node, off, size int, done func
 		}
 	}
 	if s.readBusy {
-		s.readQueue = append(s.readQueue, run)
+		s.readQueue.Push(run)
 		return
 	}
 	run()

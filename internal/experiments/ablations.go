@@ -239,8 +239,8 @@ func MultiGroupCoLocation(sys System, groups, ops int, seed int64) (MultiGroupPo
 		i := i
 		var loop func()
 		loop = func() {
-			members[i].Write(i<<16, 1024, true, func(err error) {
-				if err == nil {
+			members[i].Write(i<<16, 1024, true, func(res core.Result) {
+				if res.Err == nil {
 					loop()
 				}
 			})
@@ -254,8 +254,8 @@ func MultiGroupCoLocation(sys System, groups, ops int, seed int64) (MultiGroupPo
 	var probe func()
 	probe = func() {
 		start := eng.Now()
-		members[0].Write(0, 1024, true, func(err error) {
-			if err == nil {
+		members[0].Write(0, 1024, true, func(res core.Result) {
+			if res.Err == nil {
 				hist.Record(eng.Now().Sub(start))
 			}
 			completed++

@@ -179,14 +179,14 @@ func (r *chaosRig) manage(restore func(spare *cluster.Node, rejoin func())) {
 						r.fail(fmt.Errorf("reattach: %w", err))
 					}
 				})
-				r.rep.Write(fmLockBase, 8*fmLockStripes, true, func(err error) {
+				r.rep.Write(fmLockBase, 8*fmLockStripes, true, errOnly(func(err error) {
 					if err != nil {
 						r.fail(fmt.Errorf("lock reset: %w", err))
 						return
 					}
 					r.mgr.Resume(newMembers)
 					r.resumedAt, r.resumed = r.eng.Now(), true
-				})
+				}))
 			})
 		})
 	r.mgr.Instrument(r.reg, r.rec, r.label)
@@ -281,7 +281,7 @@ func (r *chaosRig) run(seed int64) {
 	}
 	if r.repairErr == nil && r.drainErr == nil {
 		flushed, flushErr := false, error(nil)
-		r.rep.Flush(func(err error) { flushed, flushErr = true, err })
+		r.rep.Flush(func(res core.Result) { flushed, flushErr = true, res.Err })
 		if !eng.RunUntil(func() bool { return flushed }, deadline) {
 			r.drainErr = errors.New("final flush stalled")
 		} else if flushErr != nil {

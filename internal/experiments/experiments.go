@@ -126,10 +126,15 @@ func newMicroRig(p MicroParams) *microRig {
 	return r
 }
 
+// errOnly adapts an error-only completion to the replicator's done.
+func errOnly(done func(error)) func(core.Result) {
+	return func(res core.Result) { done(res.Err) }
+}
+
 // gcas issues a gCAS on every replica. gCAS is outside core.Backend (the
 // arms disagree on the execute-map type), so it dispatches on the group.
 func (r *microRig) gcas(off int, old, new uint64, done func(error)) {
-	cb := func(res core.Result) { done(res.Err) }
+	cb := errOnly(done)
 	var err error
 	switch g := r.rep.G.(type) {
 	case *core.Group:

@@ -362,9 +362,9 @@ func TestNaiveEquivalence(t *testing.T) {
 			switch sp.kind {
 			case 0:
 				rg.cl.Client().StoreWrite(sp.off, sp.data)
-				rg.rep.Write(sp.off, sp.size, true, next)
+				rg.rep.Write(sp.off, sp.size, true, errOnly(next))
 			case 1:
-				rg.rep.Memcpy(sp.off, sp.src, sp.size, true, next)
+				rg.rep.Memcpy(sp.off, sp.src, sp.size, true, errOnly(next))
 			default:
 				rg.gcas(sp.off, 0, sp.new, next)
 			}

@@ -21,7 +21,7 @@ func GWriteLatency(p MicroParams) (stats.Summary, error) {
 	defer r.close()
 	r.cl.Client().StoreWrite(0, make([]byte, p.MsgSize))
 	hist, err := r.runOps(p.Ops, p.Pipeline, budget(p), func(i int, done func(error)) {
-		r.rep.Write(0, p.MsgSize, p.Durable, done)
+		r.rep.Write(0, p.MsgSize, p.Durable, errOnly(done))
 	})
 	return hist.Summarize(), err
 }
@@ -34,7 +34,7 @@ func GMemcpyLatency(p MicroParams) (stats.Summary, error) {
 	r.cl.Client().StoreWrite(0, make([]byte, p.MsgSize))
 	dst := 1 << 20
 	hist, err := r.runOps(p.Ops, p.Pipeline, budget(p), func(i int, done func(error)) {
-		r.rep.Memcpy(dst, 0, p.MsgSize, p.Durable, done)
+		r.rep.Memcpy(dst, 0, p.MsgSize, p.Durable, errOnly(done))
 	})
 	return hist.Summarize(), err
 }
@@ -148,7 +148,7 @@ func Throughput(sys System, msgSize, totalBytes int, seed int64) (ThroughputPoin
 	}
 	start := r.eng.Now()
 	_, err := r.runOps(p.Ops, p.Pipeline, 120*sim.Second, func(i int, done func(error)) {
-		r.rep.Write(0, p.MsgSize, false, done)
+		r.rep.Write(0, p.MsgSize, false, errOnly(done))
 	})
 	if err != nil {
 		return ThroughputPoint{}, err

@@ -36,13 +36,13 @@ func RunMicroMetrics(p MicroParams) (*metrics.Registry, error) {
 	start := rig.eng.Now()
 	_, err := rig.runOps(p.Ops, p.Pipeline, 120*sim.Second, func(i int, done func(error)) {
 		issued := rig.eng.Now()
-		rig.rep.Write(0, p.MsgSize, p.Durable, func(opErr error) {
+		rig.rep.Write(0, p.MsgSize, p.Durable, errOnly(func(opErr error) {
 			if opErr == nil {
 				acked.Inc()
 				lat.Observe(rig.eng.Now().Sub(issued))
 			}
 			done(opErr)
-		})
+		}))
 	})
 	sampler.Stop()
 	reg.Sample(rig.eng.Now())

@@ -116,7 +116,7 @@ func RunStageBreakdown(p MicroParams) StageBreakdownResult {
 	_, err := rig.runOps(p.Ops, 1, 120*sim.Second, func(i int, done func(error)) {
 		bridge.Reset()
 		start = rig.eng.Now()
-		rig.rep.Write(0, p.MsgSize, true, func(opErr error) {
+		rig.rep.Write(0, p.MsgSize, true, errOnly(func(opErr error) {
 			if opErr == nil {
 				end := rig.eng.Now()
 				res.EndToEnd += end.Sub(start)
@@ -124,7 +124,7 @@ func RunStageBreakdown(p MicroParams) StageBreakdownResult {
 					span.Decompose(bridge.Events(), start, end, classifyStage))
 			}
 			done(opErr)
-		})
+		}))
 	})
 	if err != nil {
 		panic(fmt.Sprintf("stage breakdown (%v): %v", p.System, err))

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -196,4 +197,51 @@ func TestBatchOverwriteRefusalRetryable(t *testing.T) {
 	if v, _ := db.Get("k"); string(v) != "v2" {
 		t.Fatalf("k = %q", v)
 	}
+}
+
+// A refused Put (and a refused overwrite, and a refused Delete) is checked
+// for ring space before anything is built or claimed, so it leaves the whole
+// store window — ring bytes included — the allocator, the index, the
+// memtable and the log's cursors exactly as they were.
+func TestRefusedPutTouchesNothing(t *testing.T) {
+	db, st := localDB(t, backCfg())
+	acked, refused := fillRing(t, db, "fill")
+
+	window := append([]byte(nil), st.buf...)
+	next, idx, size, seq, logState := db.next, len(db.index), db.Size(), db.log.Seq(), db.log.String()
+	puts, _, dels, _ := db.Stats()
+	check := func(what string) {
+		t.Helper()
+		if !bytes.Equal(st.buf, window) {
+			t.Fatalf("%s changed the store window", what)
+		}
+		if db.next != next || len(db.index) != idx || db.Size() != size {
+			t.Fatalf("%s changed next/index/memtable: %#x->%#x, %d->%d, %d->%d",
+				what, next, db.next, idx, len(db.index), size, db.Size())
+		}
+		if db.log.Seq() != seq || db.log.String() != logState {
+			t.Fatalf("%s moved the log: %s -> %s", what, logState, db.log)
+		}
+		if p, _, d, _ := db.Stats(); p != puts || d != dels {
+			t.Fatalf("%s counted as done: puts %d->%d dels %d->%d", what, puts, p, dels, d)
+		}
+	}
+	if err := db.Put(refused, []byte("again"), nil); err != wal.ErrLogFull {
+		t.Fatalf("fresh put on a full ring: %v", err)
+	}
+	check("a refused fresh put")
+	if _, ok := db.Get(refused); ok {
+		t.Fatal("refused key readable")
+	}
+	if err := db.Put(acked[0], []byte("overwrite"), nil); err != wal.ErrLogFull {
+		t.Fatalf("overwrite on a full ring: %v", err)
+	}
+	check("a refused overwrite")
+	if v, _ := db.Get(acked[0]); string(v) != "val-"+acked[0] {
+		t.Fatalf("refused overwrite visible: %q", v)
+	}
+	if err := db.Delete(acked[0], nil); err != wal.ErrLogFull {
+		t.Fatalf("delete on a full ring: %v", err)
+	}
+	check("a refused delete")
 }

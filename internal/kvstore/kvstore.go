@@ -8,8 +8,9 @@
 // Write path (a put):
 //
 //  1. allocate (or reuse) the key's slot in the data region;
-//  2. append a redo record to the WAL — gWRITE+gFLUSH down the chain; the
-//     user ack fires here, once every replica holds the record in NVM;
+//  2. append a redo record to the WAL — the slot image is encoded straight
+//     into the log ring — and gWRITE+gFLUSH it down the chain; the user ack
+//     fires here, once every replica holds the record in NVM;
 //  3. update the memtable (read-your-writes);
 //  4. later, off the user's critical path, commit the record with
 //     ExecuteAndAdvance — gMEMCPY+gFLUSH per entry plus a durable head
@@ -22,6 +23,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/memtable"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
@@ -109,6 +111,7 @@ type DB struct {
 	commitPaused  bool
 	closed        bool
 	commitWaiters []func(error)
+	drainStep     func(error) // db.drained, bound once: the executor's completion
 	readers       []*replicaReader
 	craq          *craqState // nil unless EnableCRAQ
 
@@ -126,7 +129,9 @@ func Open(store wal.Store, rep wal.Replicator, cfg Config, done func(error)) *DB
 		index: make(map[string]slotRef),
 		next:  cfg.DataBase,
 	}
+	db.drainStep = db.drained
 	db.log = wal.New(store, rep, cfg.LogBase, cfg.LogSize, done)
+	db.log.OnAck(db.onAppendAck)
 	return db
 }
 
@@ -141,40 +146,54 @@ func (db *DB) PendingCommits() int { return db.log.Pending() }
 // Close marks the store closed.
 func (db *DB) Close() { db.closed = true }
 
-// encodeSlot builds a slot image.
-func encodeSlot(key string, value []byte, vcap int, flags byte) []byte {
-	buf := make([]byte, slotHdr+len(key)+vcap)
-	binary.LittleEndian.PutUint16(buf[0:], slotMagic)
-	buf[2] = flags
-	buf[3] = byte(len(key))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(vcap))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(value)))
-	copy(buf[slotHdr:], key)
-	copy(buf[slotHdr+len(key):], value)
-	return buf
+// imageSize is the byte length of a slot image: header, key and the whole
+// value capacity.
+func imageSize(keyLen, vcap int) int { return slotHdr + keyLen + vcap }
+
+// encodeSlot writes a slot image over all of dst (imageSize bytes, holding
+// arbitrary old contents — a stretch of the log ring).
+func encodeSlot(dst []byte, key string, value []byte, vcap int, flags byte) {
+	binary.LittleEndian.PutUint16(dst[0:], slotMagic)
+	dst[2] = flags
+	dst[3] = byte(len(key))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(vcap))
+	binary.LittleEndian.PutUint32(dst[8:], uint32(len(value)))
+	clear(dst[12:slotHdr])
+	n := slotHdr + copy(dst[slotHdr:], key)
+	n += copy(dst[n:], value)
+	clear(dst[n:])
 }
 
-// decodeSlot parses a slot at buf, returning key, value, capacity, flags,
-// and total size.
-func decodeSlot(buf []byte) (string, []byte, int, byte, int, error) {
+// parseSlot parses a slot at buf without copying: key and value alias buf.
+func parseSlot(buf []byte) (key, val []byte, vcap int, flags byte, total int, err error) {
 	if len(buf) < slotHdr {
-		return "", nil, 0, 0, 0, ErrCorruptSlot
+		return nil, nil, 0, 0, 0, ErrCorruptSlot
 	}
 	if binary.LittleEndian.Uint16(buf[0:]) != slotMagic {
-		return "", nil, 0, 0, 0, ErrCorruptSlot
+		return nil, nil, 0, 0, 0, ErrCorruptSlot
 	}
-	flags := buf[2]
+	flags = buf[2]
 	kl := int(buf[3])
-	vcap := int(binary.LittleEndian.Uint32(buf[4:]))
+	vcap = int(binary.LittleEndian.Uint32(buf[4:]))
 	vl := int(binary.LittleEndian.Uint32(buf[8:]))
-	total := slotHdr + kl + vcap
+	total = slotHdr + kl + vcap
 	if vl > vcap || total > len(buf) {
-		return "", nil, 0, 0, 0, ErrCorruptSlot
+		return nil, nil, 0, 0, 0, ErrCorruptSlot
 	}
-	key := string(buf[slotHdr : slotHdr+kl])
-	val := make([]byte, vl)
-	copy(val, buf[slotHdr+kl:slotHdr+kl+vl])
-	return key, val, vcap, flags, total, nil
+	return buf[slotHdr : slotHdr+kl], buf[slotHdr+kl : slotHdr+kl+vl], vcap, flags, total, nil
+}
+
+// clone returns a private, never-nil copy of b.
+func clone(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
+
+// decodeSlot parses a slot at buf, returning copies of key and value, the
+// capacity, flags, and total size.
+func decodeSlot(buf []byte) (string, []byte, int, byte, int, error) {
+	key, val, vcap, flags, total, err := parseSlot(buf)
+	if err != nil {
+		return "", nil, 0, 0, 0, err
+	}
+	return string(key), clone(val), vcap, flags, total, nil
 }
 
 // slotSize returns the rounded allocation size for a key/capacity pair.
@@ -183,28 +202,47 @@ func slotSize(keyLen, vcap int) int {
 	return (n + slotRound - 1) &^ (slotRound - 1)
 }
 
-// allocate finds or creates a slot for key able to hold valLen bytes.
-func (db *DB) allocate(key string, valLen int) (slotRef, error) {
+// place finds the slot a write of valLen bytes to key would use — the key's
+// current slot if it fits, else a fresh one at the allocation watermark —
+// without claiming it: fresh reports that claim must follow.
+func (db *DB) place(key string, valLen int) (ref slotRef, fresh bool, err error) {
 	if ref, ok := db.index[key]; ok && valLen <= ref.cap {
-		return ref, nil
+		return ref, false, nil
 	}
 	vcap := defaultCap
 	if valLen > vcap {
 		vcap = (valLen + slotRound - 1) &^ (slotRound - 1)
 	}
-	sz := slotSize(len(key), vcap)
-	if db.next+sz > db.cfg.DataBase+db.cfg.DataSize {
-		return slotRef{}, ErrOutOfSpace
+	if db.next+slotSize(len(key), vcap) > db.cfg.DataBase+db.cfg.DataSize {
+		return slotRef{}, false, ErrOutOfSpace
 	}
-	ref := slotRef{off: db.next, cap: vcap}
-	db.next += sz
+	return slotRef{off: db.next, cap: vcap}, true, nil
+}
+
+// claim carves the fresh slot place returned.
+func (db *DB) claim(key string, ref slotRef) {
+	db.next += slotSize(len(key), ref.cap)
 	db.index[key] = ref
-	return ref, nil
+}
+
+// allocate finds or creates a slot for key able to hold valLen bytes.
+func (db *DB) allocate(key string, valLen int) (slotRef, error) {
+	ref, fresh, err := db.place(key, valLen)
+	if err == nil && fresh {
+		db.claim(key, ref)
+	}
+	return ref, err
 }
 
 // Put stores key=value on all replicas. done fires when the redo record is
 // durable everywhere (the RocksDB ack point). The commit to the data region
 // happens asynchronously via the WAL executor.
+//
+// Ring space is reserved before anything is built or claimed: a refused put
+// (wal.ErrLogFull backpressure) leaves the ring, the allocator, the index
+// and the memtable exactly as they were. In particular no freshly carved
+// slot survives it — its bytes would still be zeros, and recovery's slot
+// scan stops at the first non-slot header, hiding every later slot.
 func (db *DB) Put(key string, value []byte, done func(error)) error {
 	if db.closed {
 		return ErrClosed
@@ -212,54 +250,46 @@ func (db *DB) Put(key string, value []byte, done func(error)) error {
 	if len(key) > maxKeyLen {
 		return ErrKeyTooLarge
 	}
-	prevRef, existed := db.index[key]
-	prevNext := db.next
-	ref, err := db.allocate(key, len(value))
+	ref, fresh, err := db.place(key, len(value))
 	if err != nil {
 		return err
 	}
-	img := encodeSlot(key, value, ref.cap, flagValid)
-	if err := db.append([]wal.Entry{{Offset: ref.off, Data: img}}, done); err != nil {
-		// A freshly carved slot must not survive a refused append: its bytes
-		// are still zeros, and recovery's slot scan stops at the first
-		// non-slot header, so the hole would hide every later slot. Roll the
-		// allocation back — ring-full backpressure leaves no trace.
-		if !existed || prevRef != ref {
-			db.next = prevNext
-			if existed {
-				db.index[key] = prevRef
-			} else {
-				delete(db.index, key)
-			}
-		}
+	size := imageSize(len(key), ref.cap)
+	if err := db.log.Reserve(1, size); err != nil {
 		return err
 	}
+	if fresh {
+		db.claim(key, ref)
+	}
+	encodeSlot(db.log.Place(ref.off, size), key, value, ref.cap, flagValid)
+	db.log.Publish(!db.cfg.Volatile, done)
 	db.puts++
-	val := make([]byte, len(value))
-	copy(val, value)
-	db.mem.Put(key, val)
+	db.mem.Put(key, clone(value))
 	return nil
-}
-
-// append routes a record through the WAL with the configured durability.
-func (db *DB) append(entries []wal.Entry, done func(error)) error {
-	return db.log.AppendMode(entries, !db.cfg.Volatile, db.ackWrap(done))
 }
 
 // WriteBatch applies several puts and deletes as one atomic unit: a single
 // redo record, so recovery sees all or none of the batch (RocksDB's
 // WriteBatch semantics over the replicated log).
 type WriteBatch struct {
-	db      *DB
-	entries []wal.Entry
-	mem     []func()
-	err     error
+	db  *DB
+	ops []batchOp
+	err error
 	// Fresh slots carved while building the batch, plus the allocation
 	// watermarks around them: if Commit's append is refused and nothing else
 	// allocated in between, the slots are rolled back so the refusal leaves
 	// no allocated-unlogged hole for recovery's scan to stop at.
 	fresh             []freshAlloc
 	preNext, postNext int
+}
+
+// batchOp is one buffered put (val holds a private copy) or delete (dead).
+// Its slot image is encoded at Commit, straight into the reserved record.
+type batchOp struct {
+	key  string
+	val  []byte
+	ref  slotRef
+	dead bool
 }
 
 // freshAlloc remembers how to undo one allocation.
@@ -296,11 +326,7 @@ func (b *WriteBatch) Put(key string, value []byte) *WriteBatch {
 		b.fresh = append(b.fresh, freshAlloc{key: key, prev: prevRef, existed: existed, ref: ref})
 		b.postNext = b.db.next
 	}
-	img := encodeSlot(key, value, ref.cap, flagValid)
-	b.entries = append(b.entries, wal.Entry{Offset: ref.off, Data: img})
-	val := make([]byte, len(value))
-	copy(val, value)
-	b.mem = append(b.mem, func() { b.db.mem.Put(key, val); b.db.puts++ })
+	b.ops = append(b.ops, batchOp{key: key, val: clone(value), ref: ref})
 	return b
 }
 
@@ -313,47 +339,61 @@ func (b *WriteBatch) Delete(key string) *WriteBatch {
 	if !ok {
 		return b // deleting a missing key is a no-op
 	}
-	img := encodeSlot(key, nil, ref.cap, flagDead)
-	b.entries = append(b.entries, wal.Entry{Offset: ref.off, Data: img})
-	b.mem = append(b.mem, func() {
-		b.db.mem.Del(key)
-		delete(b.db.index, key)
-		b.db.dels++
-	})
+	b.ops = append(b.ops, batchOp{key: key, ref: ref, dead: true})
 	return b
 }
 
 // Len returns the number of operations in the batch.
-func (b *WriteBatch) Len() int { return len(b.entries) }
+func (b *WriteBatch) Len() int { return len(b.ops) }
 
 // Commit replicates the batch atomically; done fires at the durability
 // point. An empty batch acks immediately.
 func (b *WriteBatch) Commit(done func(error)) error {
-	if b.db.closed {
+	db := b.db
+	if db.closed {
 		return ErrClosed
 	}
 	if b.err != nil {
 		return b.err
 	}
-	if len(b.entries) == 0 {
+	if len(b.ops) == 0 {
 		if done != nil {
 			done(nil)
 		}
 		return nil
 	}
-	if err := b.db.append(b.entries, done); err != nil {
+	total := 0
+	for _, op := range b.ops {
+		total += imageSize(len(op.key), op.ref.cap)
+	}
+	if err := db.log.Reserve(len(b.ops), total); err != nil {
 		if b.rollbackFresh() {
-			// The batch's slots are gone; its entries reference offsets a
+			// The batch's slots are gone; its ops reference offsets a
 			// later allocation may reuse, so a retry of this batch would
 			// corrupt the data region. Poison it — callers rebuild.
 			b.err = err
 		}
 		return err
 	}
-	for _, apply := range b.mem {
-		apply()
+	for _, op := range b.ops {
+		flags := byte(flagValid)
+		if op.dead {
+			flags = flagDead
+		}
+		encodeSlot(db.log.Place(op.ref.off, imageSize(len(op.key), op.ref.cap)), op.key, op.val, op.ref.cap, flags)
 	}
-	b.entries, b.mem, b.fresh = nil, nil, nil
+	db.log.Publish(!db.cfg.Volatile, done)
+	for _, op := range b.ops {
+		if op.dead {
+			db.mem.Del(op.key)
+			delete(db.index, op.key)
+			db.dels++
+		} else {
+			db.mem.Put(op.key, op.val)
+			db.puts++
+		}
+	}
+	b.ops, b.fresh = nil, nil
 	return nil
 }
 
@@ -385,17 +425,13 @@ func (b *WriteBatch) rollbackFresh() bool {
 	return true
 }
 
-// ackWrap chains the commit policy onto the replication ack: records become
-// committable only once every replica holds them, so the executor is driven
-// from here rather than from the issue path.
-func (db *DB) ackWrap(done func(error)) func(error) {
-	return func(err error) {
-		if err == nil {
-			db.maybeCommit()
-		}
-		if done != nil {
-			done(err)
-		}
+// onAppendAck chains the commit policy onto every replication ack (it is
+// the log's OnAck hook): records become committable only once every replica
+// holds them, so the executor is driven from here rather than from the
+// issue path.
+func (db *DB) onAppendAck(err error) {
+	if err == nil {
+		db.maybeCommit()
 	}
 }
 
@@ -405,13 +441,24 @@ func (db *DB) Get(key string) ([]byte, bool) {
 	return db.mem.Get(key)
 }
 
-// replicaReader is the one-sided read path to one replica.
+// replicaReader is the one-sided read path to one replica: one READ in
+// flight, landing in the reader's own registered buffer; the rest queue.
 type replicaReader struct {
+	db   *DB
 	qp   *rdma.QP
 	node *cluster.Node
 	buf  *rdma.MemoryRegion
+	ram  []byte // the bytes behind buf
 	busy bool
-	q    []func()
+	cur  replicaRead
+	q    fifo.Queue[replicaRead]
+}
+
+// replicaRead is one GetFromReplica request.
+type replicaRead struct {
+	key       string
+	off, size int
+	done      func([]byte, error)
 }
 
 // EnableReplicaReads wires a one-sided RDMA read path from the head to each
@@ -423,11 +470,15 @@ func (db *DB) EnableReplicaReads(client *cluster.Node, replicas []*cluster.Node)
 	for _, rep := range replicas {
 		q, _ := cluster.ConnectPair(client, rep, 64, 1)
 		q.SendCQ().SetAutoDrain(true)
-		db.readers = append(db.readers, &replicaReader{
+		rd := &replicaReader{
+			db:   db,
 			qp:   q,
 			node: rep,
 			buf:  client.NIC.RegisterRAM(slotHdr+maxKeyLen+4096, rdma.AccessLocalWrite),
-		})
+		}
+		rd.ram = rd.buf.Backing().(*rdma.RAMBacking).Bytes()
+		q.SendCQ().SetCallback(rd.onRead)
+		db.readers = append(db.readers, rd)
 	}
 }
 
@@ -450,51 +501,48 @@ func (db *DB) GetFromReplica(key string, r int, done func([]byte, error)) {
 	}
 	rd := db.readers[r]
 	db.gets++
-	size := slotHdr + len(key) + ref.cap
-	if size > rd.buf.Len() {
-		size = rd.buf.Len()
-	}
-	run := func() {
-		rd.busy = true
-		rd.qp.SendCQ().SetCallback(func(e rdma.CQE) {
-			rd.qp.SendCQ().SetCallback(nil)
-			buf := make([]byte, size)
-			rd.buf.Backing().ReadAt(0, buf)
-			rd.busy = false
-			if len(rd.q) > 0 {
-				next := rd.q[0]
-				rd.q = rd.q[1:]
-				next()
-			}
-			if e.Status != rdma.StatusSuccess {
-				done(nil, fmt.Errorf("kvstore: replica read %v", e.Status))
-				return
-			}
-			gotKey, val, _, flags, _, err := decodeSlot(buf)
-			switch {
-			case err != nil || gotKey != key:
-				// Slot not committed on this replica yet.
-				done(nil, ErrStale)
-			case flags&flagDead != 0:
-				done(nil, ErrNotFound)
-			default:
-				done(val, nil)
-			}
-		})
-		if _, err := rd.qp.PostSend(rdma.WQE{
-			Opcode: rdma.OpRead, Signaled: true,
-			RKey: rd.node.Store.RKey(), RAddr: uint64(ref.off),
-			SGEs: []rdma.SGE{{LKey: rd.buf.LKey(), Offset: 0, Length: uint32(size)}},
-		}); err != nil {
-			rd.busy = false
-			done(nil, err)
-		}
-	}
+	req := replicaRead{key: key, off: ref.off, size: min(imageSize(len(key), ref.cap), rd.buf.Len()), done: done}
 	if rd.busy {
-		rd.q = append(rd.q, run)
+		rd.q.Push(req)
 		return
 	}
-	run()
+	rd.start(req)
+}
+
+// start posts req's READ.
+func (rd *replicaReader) start(req replicaRead) {
+	rd.busy, rd.cur = true, req
+	if _, err := rd.qp.PostSend(rdma.WQE{
+		Opcode: rdma.OpRead, Signaled: true,
+		RKey: rd.node.Store.RKey(), RAddr: uint64(req.off),
+		SGEs: []rdma.SGE{{LKey: rd.buf.LKey(), Offset: 0, Length: uint32(req.size)}},
+	}); err != nil {
+		rd.busy, rd.cur = false, replicaRead{}
+		req.done(nil, err)
+	}
+}
+
+// onRead completes the in-flight READ: the slot image is parsed where it
+// landed (only a served value is copied out), the next queued read starts,
+// then the caller hears the result.
+func (rd *replicaReader) onRead(e rdma.CQE) {
+	req := rd.cur
+	var val []byte
+	var err error
+	if e.Status != rdma.StatusSuccess {
+		err = fmt.Errorf("kvstore: replica read %v", e.Status)
+	} else if gotKey, v, _, flags, _, perr := parseSlot(rd.ram[:req.size]); perr != nil || string(gotKey) != req.key {
+		err = ErrStale // slot not committed on this replica yet
+	} else if flags&flagDead != 0 {
+		err = ErrNotFound
+	} else {
+		val = clone(v)
+	}
+	rd.busy, rd.cur = false, replicaRead{}
+	if rd.q.Len() > 0 {
+		rd.start(rd.q.Pop())
+	}
+	req.done(val, err)
 }
 
 // Delete removes a key (a durable tombstone slot image in the WAL).
@@ -509,10 +557,12 @@ func (db *DB) Delete(key string, done func(error)) error {
 		}
 		return nil
 	}
-	img := encodeSlot(key, nil, ref.cap, flagDead)
-	if err := db.append([]wal.Entry{{Offset: ref.off, Data: img}}, done); err != nil {
+	size := imageSize(len(key), ref.cap)
+	if err := db.log.Reserve(1, size); err != nil {
 		return err
 	}
+	encodeSlot(db.log.Place(ref.off, size), key, nil, ref.cap, flagDead)
+	db.log.Publish(!db.cfg.Volatile, done)
 	db.dels++
 	db.mem.Del(key)
 	delete(db.index, key)
@@ -607,33 +657,25 @@ func (db *DB) ResetReplicaReads() { db.readers = nil }
 
 // drain executes replicated records one at a time, off the put ack path. It
 // pauses at a record whose replication is still in flight and resumes from
-// the next ack (ackWrap → maybeCommit → drain).
+// the next ack (onAppendAck → maybeCommit → drain).
 func (db *DB) drain() {
 	if db.committing || db.commitPaused {
 		return
 	}
-	var step func(error)
-	run := func() {
-		if db.log.Pending() == 0 || !db.log.Ready() {
-			db.committing = false
-			db.notifyCommitWaiters(nil)
-			return
-		}
-		if err := db.log.ExecuteAndAdvance(step); err != nil {
-			db.committing = false
-			db.notifyCommitWaiters(err)
-		}
-	}
-	step = func(err error) {
-		if err != nil {
-			db.committing = false
-			db.notifyCommitWaiters(err)
-			return
-		}
-		run()
-	}
 	db.committing = true
-	run()
+	db.drained(nil)
+}
+
+// drained is the executor's step: the previous record's commit completed
+// with err (nil to start), so execute the next ready record or go idle.
+func (db *DB) drained(err error) {
+	if err == nil && db.log.Ready() {
+		if err = db.log.ExecuteAndAdvance(db.drainStep); err == nil {
+			return
+		}
+	}
+	db.committing = false
+	db.notifyCommitWaiters(err)
 }
 
 // Rebuild reconstructs the store's contents from a (typically durable,

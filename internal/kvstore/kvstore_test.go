@@ -14,7 +14,11 @@ import (
 // --- slot encoding ---
 
 func TestSlotRoundTrip(t *testing.T) {
-	img := encodeSlot("mykey", []byte("myvalue"), 64, flagValid)
+	img := bytes.Repeat([]byte{0xEE}, imageSize(5, 64)) // a dirty stretch of ring
+	encodeSlot(img, "mykey", []byte("myvalue"), 64, flagValid)
+	if !bytes.Equal(img[slotHdr+5+7:], make([]byte, 64-7)) || !bytes.Equal(img[12:slotHdr], make([]byte, 4)) {
+		t.Fatal("encodeSlot left old bytes in the image's padding")
+	}
 	key, val, vcap, flags, total, err := decodeSlot(img)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +32,8 @@ func TestSlotRoundTrip(t *testing.T) {
 }
 
 func TestSlotCorruption(t *testing.T) {
-	img := encodeSlot("k", []byte("v"), 16, flagValid)
+	img := make([]byte, imageSize(1, 16))
+	encodeSlot(img, "k", []byte("v"), 16, flagValid)
 	img[0] = 0
 	if _, _, _, _, _, err := decodeSlot(img); err != ErrCorruptSlot {
 		t.Fatalf("bad magic: %v", err)
@@ -44,6 +49,8 @@ type memStore struct{ buf []byte }
 
 func newMemStore(n int) *memStore                   { return &memStore{buf: make([]byte, n)} }
 func (m *memStore) WriteLocal(off int, data []byte) { copy(m.buf[off:], data) }
+func (m *memStore) Window(off, size int) []byte     { return m.buf[off : off+size] }
+func (m *memStore) Persist(off, size int)           {}
 func (m *memStore) ReadLocal(off, size int) []byte {
 	out := make([]byte, size)
 	copy(out, m.buf[off:off+size])

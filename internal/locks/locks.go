@@ -109,6 +109,8 @@ type Manager struct {
 	cfg      Config
 	lockBase int
 
+	freeOps []*wrOp // finished host-driven write-lock ops, reused by newWrOp
+
 	acquires uint64
 	retries  uint64
 	undos    uint64
@@ -147,6 +149,47 @@ func (m *Manager) loopGroup() LoopCASer {
 	return lg
 }
 
+// wrOp is one host-driven write-lock acquisition or release in flight: the
+// state the retry loop carries between group operations. Records are pooled
+// per manager and their completions are bound once, when the record is first
+// created, so a lock or unlock — however many rounds it takes — allocates
+// nothing in steady state. A gCAS result map is only valid inside its
+// callback (core.Result); every step reads the words it needs there.
+type wrOp struct {
+	m       *Manager
+	lock    int
+	want    uint64          // the owner's lock word
+	exec    core.ExecuteMap // replicas the CAS in flight targets
+	attempt int
+	done    func(error)
+
+	onCAS, onUndo, onUnlock func(core.Result)
+	retry                   func()
+}
+
+func (m *Manager) newWrOp(lock int, owner uint64, done func(error)) *wrOp {
+	var op *wrOp
+	if n := len(m.freeOps); n > 0 {
+		op = m.freeOps[n-1]
+		m.freeOps = m.freeOps[:n-1]
+	} else {
+		op = &wrOp{m: m}
+		op.onCAS, op.onUndo, op.onUnlock, op.retry = op.casDone, op.undoDone, op.unlockDone, op.retryAll
+	}
+	op.lock, op.want, op.attempt, op.done = lock, Word(owner, 0), 0, done
+	return op
+}
+
+// finish reports the op's outcome and recycles the record.
+func (op *wrOp) finish(err error) {
+	done := op.done
+	op.done = nil
+	done(err)
+	op.m.freeOps = append(op.m.freeOps, op)
+}
+
+func (m *Manager) all() core.ExecuteMap { return core.AllReplicas(m.g.GroupSize()) }
+
 // WrLock acquires the group-wide exclusive write lock for owner (a nonzero
 // id < 2^15). done receives nil on success.
 func (m *Manager) WrLock(lock int, owner uint64, done func(error)) {
@@ -158,67 +201,73 @@ func (m *Manager) WrLock(lock int, owner uint64, done func(error)) {
 		m.wrLockNIC(lg, lock, owner, done)
 		return
 	}
-	all := core.AllReplicas(m.g.GroupSize())
-	want := Word(owner, 0)
-	attempt := 0
+	m.newWrOp(lock, owner, done).try(m.all())
+}
 
-	var try func(exec core.ExecuteMap)
-	try = func(exec core.ExecuteMap) {
-		err := m.g.GCAS(m.off(lock), 0, want, exec, func(res core.Result) {
-			if res.Err != nil {
-				done(res.Err)
-				return
-			}
-			// Which replicas did we just acquire?
-			var won core.ExecuteMap
-			allWon := true
-			for i, orig := range res.CASOld {
-				if !exec.Has(i) {
-					continue
-				}
-				if orig == 0 {
-					won |= 1 << uint(i)
-				} else {
-					allWon = false
-				}
-			}
-			if allWon {
-				m.acquires++
-				done(nil)
-				return
-			}
-			// Partial acquisition: undo the won subset, back off, retry
-			// on all replicas (the paper's execute-map undo).
-			proceed := func() {
-				attempt++
-				if attempt >= m.cfg.MaxRetries {
-					done(ErrGaveUp)
-					return
-				}
-				m.retries++
-				m.eng.Schedule(m.backoffDelay(attempt), func() { try(all) })
-			}
-			if won == 0 {
-				proceed()
-				return
-			}
-			m.undos++
-			uerr := m.g.GCAS(m.off(lock), want, 0, won, func(ur core.Result) {
-				if ur.Err != nil {
-					done(ur.Err)
-					return
-				}
-				proceed()
-			})
-			if uerr != nil {
-				done(uerr)
-			}
-		})
-		if err != nil {
-			done(err)
+// try attempts CAS(0 → want) on the replicas in exec.
+func (op *wrOp) try(exec core.ExecuteMap) {
+	op.exec = exec
+	if err := op.m.g.GCAS(op.m.off(op.lock), 0, op.want, exec, op.onCAS); err != nil {
+		op.finish(err)
+	}
+}
+
+func (op *wrOp) retryAll() { op.try(op.m.all()) }
+
+func (op *wrOp) casDone(res core.Result) {
+	m := op.m
+	if res.Err != nil {
+		op.finish(res.Err)
+		return
+	}
+	// Which replicas did we just acquire?
+	var won core.ExecuteMap
+	allWon := true
+	for i, orig := range res.CASOld {
+		if !op.exec.Has(i) {
+			continue
+		}
+		if orig == 0 {
+			won |= 1 << uint(i)
+		} else {
+			allWon = false
 		}
 	}
-	try(all)
+	if allWon {
+		m.acquires++
+		op.finish(nil)
+		return
+	}
+	// Partial acquisition: undo the won subset, back off, retry on all
+	// replicas (the paper's execute-map undo).
+	if won == 0 {
+		op.proceed()
+		return
+	}
+	m.undos++
+	if err := m.g.GCAS(m.off(op.lock), op.want, 0, won, op.onUndo); err != nil {
+		op.finish(err)
+	}
+}
+
+func (op *wrOp) undoDone(res core.Result) {
+	if res.Err != nil {
+		op.finish(res.Err)
+		return
+	}
+	op.proceed()
+}
+
+// proceed schedules the next acquisition round, or gives up.
+func (op *wrOp) proceed() {
+	m := op.m
+	op.attempt++
+	if op.attempt >= m.cfg.MaxRetries {
+		op.finish(ErrGaveUp)
+		return
+	}
+	m.retries++
+	m.eng.Schedule(m.backoffDelay(op.attempt), op.retry)
 }
 
 // wrLockNIC acquires the write lock with the retry loop offloaded: one
@@ -257,7 +306,7 @@ func (m *Manager) wrLockNIC(lg LoopCASer, lock int, owner uint64, done func(erro
 // held: CAS the remaining replicas, keeping every win across retry rounds,
 // and on exhaustion undo everything held (including replica 0).
 func (m *Manager) wrLockRest(lock int, want uint64, won core.ExecuteMap, done func(error)) {
-	all := core.AllReplicas(m.g.GroupSize())
+	all := m.all()
 	attempt := 0
 
 	var try func(exec core.ExecuteMap)
@@ -310,24 +359,24 @@ func (m *Manager) wrLockRest(lock int, want uint64, won core.ExecuteMap, done fu
 
 // WrUnlock releases the write lock held by owner on all replicas.
 func (m *Manager) WrUnlock(lock int, owner uint64, done func(error)) {
-	want := Word(owner, 0)
-	all := core.AllReplicas(m.g.GroupSize())
-	err := m.g.GCAS(m.off(lock), want, 0, all, func(res core.Result) {
-		if res.Err != nil {
-			done(res.Err)
+	op := m.newWrOp(lock, owner, done)
+	if err := m.g.GCAS(m.off(lock), op.want, 0, m.all(), op.onUnlock); err != nil {
+		op.finish(err)
+	}
+}
+
+func (op *wrOp) unlockDone(res core.Result) {
+	if res.Err != nil {
+		op.finish(res.Err)
+		return
+	}
+	for _, orig := range res.CASOld {
+		if orig != op.want {
+			op.finish(fmt.Errorf("%w: word=%x", ErrNotHeld, orig))
 			return
 		}
-		for _, orig := range res.CASOld {
-			if orig != want {
-				done(fmt.Errorf("%w: word=%x", ErrNotHeld, orig))
-				return
-			}
-		}
-		done(nil)
-	})
-	if err != nil {
-		done(err)
 	}
+	op.finish(nil)
 }
 
 // RdLock registers a reader on a single replica, allowing a consistent

@@ -23,6 +23,7 @@ import (
 	"hyperloop/internal/cluster"
 	"hyperloop/internal/core"
 	"hyperloop/internal/cpusched"
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -151,8 +152,8 @@ type Group struct {
 	ackQP   *rdma.QP
 	cliCmd  *rdma.MemoryRegion
 	ackMR   *rdma.MemoryRegion
-	pending []*op
-	waiting []*op
+	pending fifo.Queue[*op]
+	waiting fifo.Queue[*op]
 	issued  uint64
 	failed  error
 
@@ -267,12 +268,13 @@ func (g *Group) fail(reason error) {
 		return
 	}
 	g.failed = reason
-	for _, o := range append(g.pending, g.waiting...) {
-		if o.done != nil {
-			o.done(Result{Seq: o.seq, Err: reason})
+	for _, q := range []*fifo.Queue[*op]{&g.pending, &g.waiting} {
+		for q.Len() > 0 {
+			if o := q.Pop(); o.done != nil {
+				o.done(Result{Seq: o.seq, Err: reason})
+			}
 		}
 	}
-	g.pending, g.waiting = nil, nil
 }
 
 func (r *replica) postRecv(k int) {
@@ -370,8 +372,7 @@ func (r *replica) handle(e rdma.CQE) {
 		}
 	case 2: // gcas
 		if cmd.exec&(1<<uint(r.index)) != 0 {
-			buf := r.node.StoreBytes(int(cmd.off), 8)
-			orig := binary.LittleEndian.Uint64(buf)
+			orig := binary.LittleEndian.Uint64(r.node.StoreWindow(int(cmd.off), 8))
 			if orig == cmd.casOld {
 				var nv [8]byte
 				binary.LittleEndian.PutUint64(nv[:], cmd.casNew)
@@ -380,8 +381,7 @@ func (r *replica) handle(e rdma.CQE) {
 			cmd.results[r.index] = orig
 		}
 	case 3: // gmemcpy
-		data := r.node.StoreBytes(int(cmd.src), int(cmd.size))
-		r.storeWriteNICPath(int(cmd.off), data)
+		r.storeWriteNICPath(int(cmd.off), r.node.StoreWindow(int(cmd.src), int(cmd.size)))
 		if cmd.durable {
 			r.flushStore(int(cmd.off), int(cmd.size))
 		}
@@ -452,12 +452,11 @@ func (g *Group) onAck(e rdma.CQE) {
 		g.fail(fmt.Errorf("%w: ack %s", ErrGroupFailed, e.Status))
 		return
 	}
-	if len(g.pending) == 0 {
+	if g.pending.Len() == 0 {
 		g.fail(fmt.Errorf("%w: spurious ack", ErrGroupFailed))
 		return
 	}
-	o := g.pending[0]
-	g.pending = g.pending[1:]
+	o := g.pending.Pop()
 	if _, err := g.ackQP.PostRecv(rdma.WQE{}); err != nil {
 		g.fail(err)
 		return
@@ -479,10 +478,8 @@ func (g *Group) onAck(e rdma.CQE) {
 }
 
 func (g *Group) pump() {
-	for len(g.waiting) > 0 && len(g.pending) < g.cfg.MaxInflight {
-		o := g.waiting[0]
-		g.waiting = g.waiting[1:]
-		g.send(o)
+	for g.waiting.Len() > 0 && g.pending.Len() < g.cfg.MaxInflight {
+		g.send(g.waiting.Pop())
 	}
 }
 
@@ -491,7 +488,7 @@ func (g *Group) submit(cmd command, done func(Result)) error {
 		return g.failed
 	}
 	o := &op{cmd: cmd, done: done}
-	g.waiting = append(g.waiting, o)
+	g.waiting.Push(o)
 	g.pump()
 	return nil
 }
@@ -501,7 +498,7 @@ func (g *Group) send(o *op) {
 	g.issued++
 	o.cmd.seq = o.seq
 	o.issued = g.eng.Now()
-	g.pending = append(g.pending, o)
+	g.pending.Push(o)
 
 	n := len(g.replicaNodes)
 	head := g.replicaNodes[0]

@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -55,45 +57,104 @@ func assertMatches(t *testing.T, s *intervalSet, shadow shadowSet, step string) 
 	}
 }
 
-// TestIntervalSetPropertyVsShadow drives random add/remove/overlap sequences
-// against the per-byte shadow.
-func TestIntervalSetPropertyVsShadow(t *testing.T) {
+// shadowDev is the per-byte reference for the device around the set: two
+// flat images and one dirty bool per byte.
+type shadowDev struct {
+	volatile, durable []byte
+	dirty             shadowSet
+}
+
+// runDirtySetOps decodes ops as a stream of (kind, lo, len) byte triples and
+// drives them through a Device and the per-byte shadow in lockstep. Lengths
+// are taken modulo the room left, so zero-length ranges, ranges ending at the
+// device's last byte and full-device flushes all occur; consecutive triples
+// with lo2 == lo1+len1 exercise the adjacency merge.
+func runDirtySetOps(t *testing.T, ops []byte) {
+	t.Helper()
 	const space = 256
-	for seed := int64(1); seed <= 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		var s intervalSet
-		shadow := make(shadowSet, space)
-		for op := 0; op < 4000; op++ {
-			lo := r.Intn(space)
-			hi := lo + r.Intn(space-lo+1)
-			switch r.Intn(3) {
-			case 0:
-				s.add(lo, hi)
-				shadow.add(lo, hi)
-			case 1:
-				s.remove(lo, hi)
-				shadow.remove(lo, hi)
-			case 2:
-				got := 0
-				for _, iv := range s.overlap(lo, hi) {
-					if iv.lo < lo || iv.hi > hi {
-						t.Fatalf("seed %d op %d: overlap(%d,%d) not clipped: %v", seed, op, lo, hi, iv)
-					}
-					got += iv.hi - iv.lo
-				}
-				want := 0
-				for i := lo; i < hi; i++ {
-					if shadow[i] {
-						want++
-					}
-				}
-				if got != want {
-					t.Fatalf("seed %d op %d: overlap(%d,%d) covers %d bytes, shadow says %d",
-						seed, op, lo, hi, got, want)
+	d := New(space)
+	sh := shadowDev{make([]byte, space), make([]byte, space), make(shadowSet, space)}
+	for n := 0; len(ops) >= 3; n++ {
+		kind, lo := ops[0]%6, int(ops[1])
+		size := int(ops[2]) % (space - lo + 1)
+		if ops[2] == 255 {
+			lo, size = 0, space // full-device range
+		}
+		ops = ops[3:]
+		hi := lo + size
+		fill := byte(n + 1)
+		step := fmt.Sprintf("op %d kind %d [%d,%d)", n, kind, lo, hi)
+		switch kind {
+		case 0: // NIC-path write (add)
+			data := bytes.Repeat([]byte{fill}, size)
+			d.Write(lo, data)
+			copy(sh.volatile[lo:], data)
+			sh.dirty.add(lo, hi)
+		case 1: // View mutation + MarkDirty (add)
+			for i := range d.View(lo, size) {
+				d.View(lo, size)[i] = fill
+				sh.volatile[lo+i] = fill
+			}
+			d.MarkDirty(lo, size)
+			sh.dirty.add(lo, hi)
+		case 2: // CPU store (remove)
+			data := bytes.Repeat([]byte{fill}, size)
+			d.Store(lo, data)
+			copy(sh.volatile[lo:], data)
+			copy(sh.durable[lo:], data)
+			sh.dirty.remove(lo, hi)
+		case 3: // flush-range: persists exactly the dirty bytes inside it
+			want := 0
+			for i := lo; i < hi; i++ {
+				if sh.dirty[i] {
+					sh.durable[i] = sh.volatile[i]
+					want++
 				}
 			}
-			assertMatches(t, &s, shadow, "after op")
+			sh.dirty.remove(lo, hi)
+			if got := d.Flush(lo, size); got != want {
+				t.Fatalf("%s: Flush persisted %d bytes, shadow %d", step, got, want)
+			}
+		case 4: // PowerFail: dirty bytes revert, the set empties
+			for i := range sh.dirty {
+				if sh.dirty[i] {
+					sh.volatile[i] = sh.durable[i]
+				}
+			}
+			sh.dirty.remove(0, space)
+			d.PowerFail()
+		case 5: // IsDirty probe
+			want := false
+			for i := lo; i < hi; i++ {
+				want = want || sh.dirty[i]
+			}
+			if got := d.IsDirty(lo, size); got != want {
+				t.Fatalf("%s: IsDirty = %v, shadow %v (ivs=%v)", step, got, want, d.dirty.ivs)
+			}
 		}
+		assertMatches(t, &d.dirty, sh.dirty, step)
+		if !bytes.Equal(d.volatile, sh.volatile) || !bytes.Equal(d.durable, sh.durable) {
+			t.Fatalf("%s: device images diverged from the shadow", step)
+		}
+	}
+}
+
+// FuzzDirtySet is the differential test of the in-place dirty set against
+// the per-byte shadow (add / remove / flush-range / PowerFail sequences).
+func FuzzDirtySet(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 0, 10, 10, 3, 5, 10, 0, 5, 10})             // adjacent adds, flush through the middle, re-add the gap
+	f.Add([]byte{0, 50, 10, 0, 40, 10, 0, 60, 10, 2, 45, 20, 4, 0, 0}) // edge-abutting adds, a store that splits, power fail
+	f.Add([]byte{0, 7, 0, 3, 9, 0, 1, 0, 255, 3, 0, 255})              // zero-length ranges, full-device dirty + flush
+	f.Fuzz(func(t *testing.T, ops []byte) { runDirtySetOps(t, ops) })
+}
+
+// TestDirtySetPropertyVsShadow runs the same differential over seeded random
+// streams, so plain `go test` covers it without the fuzzer.
+func TestDirtySetPropertyVsShadow(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		ops := make([]byte, 3*4000)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		runDirtySetOps(t, ops)
 	}
 }
 
@@ -117,7 +178,7 @@ func TestIntervalSetAdjacentCoalescing(t *testing.T) {
 		t.Fatalf("gap re-add not coalesced: %v", s.ivs)
 	}
 	// Abutting the left/right edges of an existing interval.
-	s.removeAll()
+	s.remove(0, 100)
 	s.add(50, 60)
 	s.add(40, 50)
 	s.add(60, 70)

@@ -72,9 +72,18 @@ func (d *Device) Write(off int, data []byte) {
 func (d *Device) Store(off int, data []byte) {
 	d.check(off, len(data))
 	copy(d.volatile[off:], data)
-	copy(d.durable[off:], data)
 	// A host store also supersedes any pending NIC-cache line for the range.
-	d.dirty.remove(off, off+len(data))
+	d.Persist(off, len(data))
+}
+
+// Persist makes the live contents of [off, off+n) durable: the second half
+// of a CPU-path store whose bytes were written in place through View. A
+// View mutation followed by Persist over the same range is exactly one
+// Store — same images, same dirty set, same counter.
+func (d *Device) Persist(off, n int) {
+	d.check(off, n)
+	copy(d.durable[off:off+n], d.volatile[off:off+n])
+	d.dirty.remove(off, off+n)
 	d.stores++
 }
 
@@ -116,12 +125,7 @@ func (d *Device) MarkDirty(off, n int) {
 // durable media. It returns the number of bytes persisted.
 func (d *Device) Flush(off, n int) int {
 	d.check(off, n)
-	synced := 0
-	for _, iv := range d.dirty.overlap(off, off+n) {
-		copy(d.durable[iv.lo:iv.hi], d.volatile[iv.lo:iv.hi])
-		synced += iv.hi - iv.lo
-	}
-	d.dirty.remove(off, off+n)
+	synced := d.dirty.drain(off, off+n, d.durable, d.volatile)
 	d.flushes++
 	d.bytesSynced += uint64(synced)
 	return synced
@@ -136,16 +140,13 @@ func (d *Device) DirtyBytes() int { return d.dirty.total() }
 // IsDirty reports whether any byte in [off, off+n) is volatile.
 func (d *Device) IsDirty(off, n int) bool {
 	d.check(off, n)
-	return len(d.dirty.overlap(off, off+n)) > 0
+	return d.dirty.overlaps(off, off+n)
 }
 
 // PowerFail simulates losing power: all un-flushed NIC-cache contents are
 // discarded and the live view reverts to durable state.
 func (d *Device) PowerFail() {
-	for _, iv := range d.dirty.overlap(0, len(d.volatile)) {
-		copy(d.volatile[iv.lo:iv.hi], d.durable[iv.lo:iv.hi])
-	}
-	d.dirty.removeAll()
+	d.dirty.drain(0, len(d.volatile), d.volatile, d.durable)
 	d.powerFails++
 }
 
@@ -182,80 +183,114 @@ func (d *Device) Stats() Stats {
 // interval is a half-open dirty range.
 type interval struct{ lo, hi int }
 
-// intervalSet maintains sorted, disjoint, merged intervals.
+// intervalSet maintains sorted, disjoint, merged intervals in place: an
+// operation binary-searches the first interval it touches and splices the
+// run it covers inside the existing backing array, so it costs
+// O(log n + run) and allocates only when the set grows past its capacity.
 type intervalSet struct {
 	ivs []interval
 }
 
+// firstEndingAfter returns the index of the first interval with hi > x
+// (len(ivs) when there is none). Intervals are disjoint and sorted, so their
+// hi bounds are sorted too.
+func (s *intervalSet) firstEndingAfter(x int) int {
+	lo, hi := 0, len(s.ivs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.ivs[mid].hi > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// splice replaces the run ivs[i:j] with n slots starting at i, shifting the
+// tail in place, and returns them for the caller to fill. n exceeds j-i by
+// at most one (an insert, or a remove that splits one interval in two).
+func (s *intervalSet) splice(i, j, n int) []interval {
+	old := len(s.ivs)
+	if d := n - (j - i); d > 0 {
+		s.ivs = append(s.ivs, interval{})
+		copy(s.ivs[j+d:], s.ivs[j:old])
+	} else if d < 0 {
+		copy(s.ivs[i+n:], s.ivs[j:])
+		s.ivs = s.ivs[:old+d]
+	}
+	return s.ivs[i : i+n]
+}
+
+// add marks [lo, hi) dirty, merging every interval it overlaps or abuts.
 func (s *intervalSet) add(lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	out := s.ivs[:0:0]
-	inserted := false
-	for _, iv := range s.ivs {
-		switch {
-		case iv.hi < lo:
-			out = append(out, iv)
-		case hi < iv.lo:
-			if !inserted {
-				out = append(out, interval{lo, hi})
-				inserted = true
-			}
-			out = append(out, iv)
-		default: // overlap or adjacency: merge
-			if iv.lo < lo {
-				lo = iv.lo
-			}
-			if iv.hi > hi {
-				hi = iv.hi
-			}
-		}
+	i := s.firstEndingAfter(lo - 1) // first with hi >= lo: adjacency merges
+	j := i
+	for j < len(s.ivs) && s.ivs[j].lo <= hi {
+		j++
 	}
-	if !inserted {
-		out = append(out, interval{lo, hi})
+	if i < j {
+		lo = min(lo, s.ivs[i].lo)
+		hi = max(hi, s.ivs[j-1].hi)
 	}
-	s.ivs = out
+	s.splice(i, j, 1)[0] = interval{lo, hi}
 }
 
+// remove clears [lo, hi), keeping the parts of boundary intervals outside it.
 func (s *intervalSet) remove(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	out := s.ivs[:0:0]
-	for _, iv := range s.ivs {
-		if iv.hi <= lo || iv.lo >= hi {
-			out = append(out, iv)
-			continue
-		}
-		if iv.lo < lo {
-			out = append(out, interval{iv.lo, lo})
-		}
-		if iv.hi > hi {
-			out = append(out, interval{hi, iv.hi})
-		}
-	}
-	s.ivs = out
+	s.drain(lo, hi, nil, nil)
 }
 
-func (s *intervalSet) removeAll() { s.ivs = nil }
-
-func (s *intervalSet) overlap(lo, hi int) []interval {
-	var out []interval
-	for _, iv := range s.ivs {
-		if iv.hi <= lo || iv.lo >= hi {
-			continue
-		}
-		clipped := iv
-		if clipped.lo < lo {
-			clipped.lo = lo
-		}
-		if clipped.hi > hi {
-			clipped.hi = hi
-		}
-		out = append(out, clipped)
+// drain removes [lo, hi) from the set and, when dst is non-nil, copies the
+// removed (dirty) bytes src→dst on the way: one walk over the overlapped run
+// serves Flush (volatile→durable) and PowerFail (durable→volatile). It
+// returns the number of dirty bytes that were in the range.
+func (s *intervalSet) drain(lo, hi int, dst, src []byte) int {
+	if lo >= hi {
+		return 0
 	}
-	return out
+	i := s.firstEndingAfter(lo)
+	j := i
+	n := 0
+	for ; j < len(s.ivs) && s.ivs[j].lo < hi; j++ {
+		clo, chi := max(lo, s.ivs[j].lo), min(hi, s.ivs[j].hi)
+		if dst != nil {
+			copy(dst[clo:chi], src[clo:chi])
+		}
+		n += chi - clo
+	}
+	if i == j {
+		return 0
+	}
+	left := interval{s.ivs[i].lo, lo}    // survives below the range
+	right := interval{hi, s.ivs[j-1].hi} // survives above it
+	keep := 0
+	if left.lo < left.hi {
+		keep++
+	}
+	if right.lo < right.hi {
+		keep++
+	}
+	out := s.splice(i, j, keep)
+	if left.lo < left.hi {
+		out[0] = left
+	}
+	if right.lo < right.hi {
+		out[keep-1] = right
+	}
+	return n
+}
+
+// overlaps reports whether any byte of [lo, hi) is in the set.
+func (s *intervalSet) overlaps(lo, hi int) bool {
+	if lo >= hi {
+		return false
+	}
+	i := s.firstEndingAfter(lo)
+	return i < len(s.ivs) && s.ivs[i].lo < hi
 }
 
 func (s *intervalSet) total() int {

@@ -230,20 +230,47 @@ func TestIntervalSetRemoveSplits(t *testing.T) {
 	if s.total() != 80 {
 		t.Fatalf("total after split = %d, want 80", s.total())
 	}
-	ovl := s.overlap(0, 100)
-	if len(ovl) != 2 || ovl[0] != (interval{0, 40}) || ovl[1] != (interval{60, 100}) {
-		t.Fatalf("split intervals: %+v", ovl)
+	if len(s.ivs) != 2 || s.ivs[0] != (interval{0, 40}) || s.ivs[1] != (interval{60, 100}) {
+		t.Fatalf("split intervals: %+v", s.ivs)
 	}
 }
 
-func TestIntervalSetOverlapClips(t *testing.T) {
+// A drain is clipped to its range: it reports and removes only the dirty
+// bytes inside [lo, hi) and leaves exact remnants on both sides.
+func TestIntervalSetDrainClips(t *testing.T) {
 	var s intervalSet
 	s.add(10, 30)
-	ovl := s.overlap(20, 25)
-	if len(ovl) != 1 || ovl[0] != (interval{20, 25}) {
-		t.Fatalf("clip: %+v", ovl)
+	if n := s.drain(20, 25, nil, nil); n != 5 {
+		t.Fatalf("drain(20,25) covered %d bytes, want 5", n)
 	}
-	if got := s.overlap(30, 40); got != nil {
-		t.Fatalf("phantom overlap: %+v", got)
+	if len(s.ivs) != 2 || s.ivs[0] != (interval{10, 20}) || s.ivs[1] != (interval{25, 30}) {
+		t.Fatalf("clip remnants: %+v", s.ivs)
+	}
+	if s.overlaps(30, 40) || s.overlaps(20, 25) {
+		t.Fatalf("phantom overlap: %+v", s.ivs)
+	}
+	if n := s.drain(30, 40, nil, nil); n != 0 || len(s.ivs) != 2 {
+		t.Fatalf("drain of a clean range covered %d bytes, set now %+v", n, s.ivs)
+	}
+}
+
+// Steady-state dirty tracking allocates nothing: the set splices inside its
+// backing array once that has grown to the working set's size.
+func TestMarkDirtyFlushAllocFree(t *testing.T) {
+	d := New(1 << 16)
+	cycle := func() {
+		for off := 0; off < 1<<16; off += 4096 {
+			d.MarkDirty(off, 1024)
+		}
+		d.MarkDirty(1024, 3072) // merges two neighbours
+		d.Flush(512, 8192)      // splits one, swallows another
+		if !d.IsDirty(0, 512) {
+			t.Fatal("remnant lost")
+		}
+		d.FlushAll()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("steady-state MarkDirty+Flush allocates %v times per cycle", n)
 	}
 }

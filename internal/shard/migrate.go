@@ -136,7 +136,7 @@ func (m *migration) copyChunk(off int) {
 
 // destWrite issues one durable gWRITE on the destination group.
 func (m *migration) destWrite(off, size int, done func(error)) {
-	wal.CoreReplicator{G: m.dest}.Write(off, size, true, done)
+	wal.CoreReplicator{G: m.dest}.Write(off, size, true, func(res core.Result) { done(res.Err) })
 }
 
 // fence bumps the epoch word locally and pushes it durably to the

@@ -633,9 +633,9 @@ func (p *Plane) Flush(done func(error)) {
 	remaining := len(p.shards)
 	var firstErr error
 	for _, s := range p.shards {
-		s.rep.Flush(func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
+		s.rep.Flush(func(res core.Result) {
+			if res.Err != nil && firstErr == nil {
+				firstErr = res.Err
 			}
 			remaining--
 			if remaining == 0 && done != nil {

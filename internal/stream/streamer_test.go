@@ -14,6 +14,8 @@ import (
 type memStore struct{ buf []byte }
 
 func (m *memStore) WriteLocal(off int, data []byte) { copy(m.buf[off:], data) }
+func (m *memStore) Window(off, size int) []byte     { return m.buf[off : off+size] }
+func (m *memStore) Persist(off, size int)           {}
 func (m *memStore) ReadLocal(off, size int) []byte {
 	out := make([]byte, size)
 	copy(out, m.buf[off:off+size])

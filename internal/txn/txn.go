@@ -61,6 +61,8 @@ type Manager struct {
 	fenceOff   int
 	fenceEpoch func() uint64
 
+	freeCommits []*commitOp // finished commit records, reused by newCommit
+
 	committed uint64
 	aborted   uint64
 	fenced    uint64
@@ -130,7 +132,6 @@ func (m *Manager) Close() { m.closed = true }
 type Txn struct {
 	m      *Manager
 	writes []wal.Entry
-	read   map[int][]byte
 	closed bool
 }
 
@@ -139,7 +140,7 @@ func (m *Manager) Begin() (*Txn, error) {
 	if m.closed {
 		return nil, ErrMgrClosed
 	}
-	return &Txn{m: m, read: make(map[int][]byte)}, nil
+	return &Txn{m: m}, nil
 }
 
 // Write buffers a modification: data will be placed at offset in every
@@ -196,17 +197,18 @@ func min(a, b int) int {
 	return b
 }
 
-// stripes returns the distinct, sorted lock stripes the transaction's
+// stripes appends to out the distinct, sorted lock stripes the transaction's
 // writes touch (sorted to avoid deadlocks between concurrent coordinators).
-func (t *Txn) stripes() []int {
-	seen := map[int]bool{}
-	var out []int
+func (t *Txn) stripes(out []int) []int {
+next:
 	for _, w := range t.writes {
 		s := (w.Offset / 64) % t.m.lockStripes
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+		for _, seen := range out {
+			if seen == s {
+				continue next
+			}
 		}
+		out = append(out, s)
 	}
 	// Insertion sort: stripe counts are tiny.
 	for i := 1; i < len(out); i++ {
@@ -248,131 +250,164 @@ func (t *Txn) Commit(done func(error)) error {
 		return ErrEmptyTxn
 	}
 	t.closed = true
-	m := t.m
-	stripes := t.stripes()
-
-	finish := func(err error) {
-		if err == nil {
-			m.committed++
-		} else {
-			m.aborted++
-		}
-		if done != nil {
-			done(err)
-		}
-	}
-
-	// Step 4 (deferred): release in reverse order.
-	release := func(held int, after func(error)) {
-		var next func(i int, first error)
-		next = func(i int, first error) {
-			if i < 0 {
-				after(first)
-				return
-			}
-			m.locks.WrUnlock(stripes[i], m.owner, func(err error) {
-				if first == nil {
-					first = err
-				}
-				next(i-1, first)
-			})
-		}
-		next(held-1, nil)
-	}
-
-	// Steps 2+3 under the locks. ExecuteAndAdvance commits the oldest
-	// unexecuted record, which may belong to a concurrent disjoint
-	// transaction — that is safe (records apply in log order, and every
-	// record's owner still holds its stripes until its own commit
-	// completes) but means a head record whose replication ack is still in
-	// flight surfaces as ErrNotReady: retry shortly rather than abort.
-	var execute func()
-	execute = func() {
-		execErr := m.log.ExecuteAndAdvance(func(err error) {
-			release(len(stripes), func(uerr error) {
-				if err == nil {
-					err = uerr
-				}
-				finish(err)
-			})
-		})
-		switch execErr {
-		case nil:
-		case wal.ErrNotReady:
-			m.eng.Schedule(5*sim.Microsecond, execute)
-		case wal.ErrEmpty:
-			// A concurrent commit already executed our record.
-			release(len(stripes), func(uerr error) { finish(uerr) })
-		default:
-			release(len(stripes), func(error) { finish(execErr) })
-		}
-	}
-	applyAndRelease := func() {
-		err := m.log.Append(t.writes, func(err error) {
-			if err != nil {
-				release(len(stripes), func(error) { finish(err) })
-				return
-			}
-			execute()
-		})
-		if err != nil {
-			release(len(stripes), func(error) { finish(err) })
-		}
-	}
-
-	// Step 2: the conditional-commit fence. The stamp word (FenceOff+8)
-	// carries the epoch we are committing under; the predicated gWRITE
-	// lands it only where the replica-local guard word (FenceOff) still
-	// equals that epoch. Any mismatch means a failover this coordinator
-	// has not observed — abort before the redo record exists anywhere.
-	fenceGate := func(next func()) {
-		if m.fence == nil {
-			next()
-			return
-		}
-		want := m.fenceEpoch()
-		var stamp [8]byte
-		binary.LittleEndian.PutUint64(stamp[:], want)
-		m.store.WriteLocal(m.fenceOff+8, stamp[:])
-		err := m.fence.GWriteIf(m.fenceOff+8, 8, m.fenceOff, want, 0, func(r core.Result) {
-			if r.Err != nil {
-				release(len(stripes), func(error) { finish(r.Err) })
-				return
-			}
-			for i, obs := range r.CASOld {
-				if obs != want {
-					m.fenced++
-					release(len(stripes), func(error) {
-						finish(fmt.Errorf("%w: replica %d at epoch %d, coordinator at %d",
-							ErrFenced, i, obs, want))
-					})
-					return
-				}
-			}
-			next()
-		})
-		if err != nil {
-			release(len(stripes), func(error) { finish(err) })
-		}
-	}
-
-	// Step 1: acquire stripes in order.
-	var acquire func(i int)
-	acquire = func(i int) {
-		if i >= len(stripes) {
-			fenceGate(applyAndRelease)
-			return
-		}
-		m.locks.WrLock(stripes[i], m.owner, func(err error) {
-			if err != nil {
-				release(i, func(error) {
-					finish(fmt.Errorf("%w: stripe %d: %v", ErrLockTimeout, stripes[i], err))
-				})
-				return
-			}
-			acquire(i + 1)
-		})
-	}
-	acquire(0)
+	c := t.m.newCommit()
+	c.writes, c.done = t.writes, done
+	c.stripes = t.stripes(c.stripes[:0])
+	c.acquire(0)
 	return nil
+}
+
+// commitOp is one Commit in flight: the state its steps hand from one group
+// operation's completion to the next. Records are pooled per manager and
+// every step is a func bound once, when the record is first created, so a
+// commit allocates nothing of its own in steady state.
+type commitOp struct {
+	m       *Manager
+	writes  []wal.Entry
+	stripes []int
+	done    func(error)
+	cursor  int   // stripe being locked (acquire) or unlocked (release)
+	err     error // the commit's outcome, carried across the release
+	uerr    error // first unlock error, reported when err is nil
+	want    uint64
+
+	onLocked, onUnlocked, onAppended, onExecuted func(error)
+	onFenced                                     func(core.Result)
+	retryExecute                                 func()
+}
+
+func (m *Manager) newCommit() *commitOp {
+	if n := len(m.freeCommits); n > 0 {
+		c := m.freeCommits[n-1]
+		m.freeCommits = m.freeCommits[:n-1]
+		return c
+	}
+	c := &commitOp{m: m}
+	c.onLocked, c.onUnlocked, c.onAppended, c.onExecuted = c.locked, c.unlocked, c.appended, c.executed
+	c.onFenced, c.retryExecute = c.fenced, c.execute
+	return c
+}
+
+// acquire is step 1: take the stripes in order, from stripe i on.
+func (c *commitOp) acquire(i int) {
+	if i >= len(c.stripes) {
+		c.fenceGate()
+		return
+	}
+	c.cursor = i
+	c.m.locks.WrLock(c.stripes[i], c.m.owner, c.onLocked)
+}
+
+func (c *commitOp) locked(err error) {
+	if err != nil {
+		c.release(c.cursor, fmt.Errorf("%w: stripe %d: %v", ErrLockTimeout, c.stripes[c.cursor], err))
+		return
+	}
+	c.acquire(c.cursor + 1)
+}
+
+// fenceGate is step 2, the conditional-commit fence. The stamp word
+// (FenceOff+8) carries the epoch we are committing under; the predicated
+// gWRITE lands it only where the replica-local guard word (FenceOff) still
+// equals that epoch. Any mismatch means a failover this coordinator has not
+// observed — abort before the redo record exists anywhere.
+func (c *commitOp) fenceGate() {
+	m := c.m
+	if m.fence == nil {
+		c.apply()
+		return
+	}
+	c.want = m.fenceEpoch()
+	var stamp [8]byte
+	binary.LittleEndian.PutUint64(stamp[:], c.want)
+	m.store.WriteLocal(m.fenceOff+8, stamp[:])
+	if err := m.fence.GWriteIf(m.fenceOff+8, 8, m.fenceOff, c.want, 0, c.onFenced); err != nil {
+		c.release(len(c.stripes), err)
+	}
+}
+
+func (c *commitOp) fenced(r core.Result) {
+	if r.Err != nil {
+		c.release(len(c.stripes), r.Err)
+		return
+	}
+	for i, obs := range r.CASOld {
+		if obs != c.want {
+			c.m.fenced++
+			c.release(len(c.stripes), fmt.Errorf("%w: replica %d at epoch %d, coordinator at %d",
+				ErrFenced, i, obs, c.want))
+			return
+		}
+	}
+	c.apply()
+}
+
+// apply is step 3: the redo record, under the locks.
+func (c *commitOp) apply() {
+	if err := c.m.log.Append(c.writes, c.onAppended); err != nil {
+		c.release(len(c.stripes), err)
+	}
+}
+
+func (c *commitOp) appended(err error) {
+	if err != nil {
+		c.release(len(c.stripes), err)
+		return
+	}
+	c.execute()
+}
+
+// execute is step 4. ExecuteAndAdvance commits the oldest unexecuted record,
+// which may belong to a concurrent disjoint transaction — that is safe
+// (records apply in log order, and every record's owner still holds its
+// stripes until its own commit completes) but means a head record whose
+// replication ack is still in flight surfaces as ErrNotReady: retry shortly
+// rather than abort.
+func (c *commitOp) execute() {
+	switch err := c.m.log.ExecuteAndAdvance(c.onExecuted); err {
+	case nil:
+	case wal.ErrNotReady:
+		c.m.eng.Schedule(5*sim.Microsecond, c.retryExecute)
+	case wal.ErrEmpty:
+		// A concurrent commit already executed our record.
+		c.release(len(c.stripes), nil)
+	default:
+		c.release(len(c.stripes), err)
+	}
+}
+
+func (c *commitOp) executed(err error) { c.release(len(c.stripes), err) }
+
+// release is step 5: drop the first held stripes in reverse order, then
+// finish with err — or, when the commit itself succeeded, with the first
+// unlock error.
+func (c *commitOp) release(held int, err error) {
+	c.err, c.uerr = err, nil
+	c.cursor = held
+	c.unlocked(nil)
+}
+
+func (c *commitOp) unlocked(err error) {
+	if c.uerr == nil {
+		c.uerr = err
+	}
+	c.cursor--
+	if c.cursor >= 0 {
+		c.m.locks.WrUnlock(c.stripes[c.cursor], c.m.owner, c.onUnlocked)
+		return
+	}
+	m, done, err := c.m, c.done, c.err
+	if err == nil {
+		err = c.uerr
+	}
+	if err == nil {
+		m.committed++
+	} else {
+		m.aborted++
+	}
+	if done != nil {
+		done(err)
+	}
+	c.writes, c.done, c.err, c.uerr = nil, nil, nil, nil
+	m.freeCommits = append(m.freeCommits, c)
 }

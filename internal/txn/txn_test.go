@@ -379,3 +379,71 @@ func TestRedoRecoveryAppliesReplicatedTxns(t *testing.T) {
 		t.Fatalf("redo state: %v", state)
 	}
 }
+
+// Commit state and lock ops are pooled records with completions bound once.
+// Waves of contending commits over host-driven locks — retries, undos and
+// backoff included — must all commit, each exactly once, and the second wave
+// must run entirely on the records the first one released.
+func TestPooledCommitsUnderContention(t *testing.T) {
+	r := newRig(t, 3)
+	defer r.g.Close()
+	lm := locks.New(r.g, r.eng, lockBase, locks.Config{HostOnly: true})
+	r.m = New(r.eng, r.m.log, r.m.store, lm, Config{})
+
+	const n = 8
+	wave := func(round int) {
+		t.Helper()
+		var fired [n]int
+		completed := 0
+		for i := 0; i < n; i++ {
+			i := i
+			tx, err := r.m.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every txn takes the same two stripes, and its own two words.
+			tx.WriteUint64(objBase+8*i, uint64(round*100+i))
+			tx.WriteUint64(objBase+64+8*i, uint64(round*100+i))
+			if err := tx.Commit(func(err error) {
+				if err != nil {
+					t.Errorf("round %d txn %d: %v", round, i, err)
+				}
+				fired[i]++
+				completed++
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !r.eng.RunUntil(func() bool { return completed >= n }, r.eng.Now().Add(30*sim.Second)) {
+			t.Fatalf("round %d stalled at %d/%d (%v)", round, completed, n, r.g.Failed())
+		}
+		r.eng.RunFor(sim.Millisecond)
+		for i, f := range fired {
+			if f != 1 {
+				t.Fatalf("round %d txn %d completed %d times", round, i, f)
+			}
+			for rep := 0; rep < 3; rep++ {
+				for _, off := range []int{objBase + 8*i, objBase + 64 + 8*i} {
+					if v := le64(r.g.Replica(rep).StoreBytes(off, 8)); v != uint64(round*100+i) {
+						t.Fatalf("round %d txn %d replica %d @%d: %d", round, i, rep, off, v)
+					}
+				}
+			}
+		}
+	}
+	wave(1)
+	if _, retries, _ := lm.Stats(); retries == 0 {
+		t.Fatal("no lock contention: the test is not exercising the retry path")
+	}
+	commits := len(r.m.freeCommits)
+	if commits == 0 || commits > n {
+		t.Fatalf("%d commit records on the free list after %d concurrent commits", commits, n)
+	}
+	wave(2)
+	if got := len(r.m.freeCommits); got != commits {
+		t.Fatalf("second wave grew the commit pool: %d -> %d", commits, got)
+	}
+	if c, a := r.m.Stats(); c != 2*n || a != 0 {
+		t.Fatalf("committed %d aborted %d, want %d and 0", c, a, 2*n)
+	}
+}

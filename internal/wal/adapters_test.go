@@ -39,7 +39,7 @@ func TestCoreReplicatorRefusalAndNilDone(t *testing.T) {
 
 			fired, acked := 0, 0
 			var lastErr error
-			refused := func(err error) { fired++; lastErr = err }
+			refused := func(res core.Result) { fired++; lastErr = res.Err }
 			rep.Write(-1, 8, true, refused)
 			rep.Memcpy(-1, 0, 8, true, refused)
 			if fired != 2 || lastErr == nil {
@@ -50,9 +50,9 @@ func TestCoreReplicatorRefusalAndNilDone(t *testing.T) {
 
 			rep.Write(0, 8, true, nil)
 			rep.Flush(nil)
-			rep.Write(64, 8, true, func(err error) {
-				if err != nil {
-					t.Errorf("write: %v", err)
+			rep.Write(64, 8, true, func(res core.Result) {
+				if res.Err != nil {
+					t.Errorf("write: %v", res.Err)
 				}
 				acked++
 			})

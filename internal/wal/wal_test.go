@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -18,10 +19,29 @@ type memStore struct{ buf []byte }
 func newMemStore(n int) *memStore { return &memStore{buf: make([]byte, n)} }
 
 func (m *memStore) WriteLocal(off int, data []byte) { copy(m.buf[off:], data) }
+func (m *memStore) Window(off, size int) []byte     { return m.buf[off : off+size] }
+func (m *memStore) Persist(off, size int)           {}
 func (m *memStore) ReadLocal(off, size int) []byte {
 	out := make([]byte, size)
 	copy(out, m.buf[off:off+size])
 	return out
+}
+
+// encodeRecord returns the bytes the log writes into its ring for one record
+// with the given sequence number: the production encoder (Reserve, Place,
+// Publish), driven standalone.
+func encodeRecord(seq uint64, entries []Entry) []byte {
+	size := recHdrSize
+	for _, e := range entries {
+		size += entryHdr + len(e.Data)
+	}
+	st := newMemStore(headerSize + size + 2*padHdrSize)
+	l := New(st, LocalReplicator{}, 0, len(st.buf), nil)
+	l.seq = seq
+	if err := l.Append(entries, nil); err != nil {
+		panic(err)
+	}
+	return st.buf[headerSize : headerSize+size]
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -294,7 +314,7 @@ func TestLocalReplicatorMirrors(t *testing.T) {
 	rep := LocalReplicator{Stores: []Store{a, b}}
 	a.WriteLocal(10, []byte("mirror"))
 	done := false
-	rep.Write(10, 6, true, func(err error) { done = err == nil })
+	rep.Write(10, 6, true, func(res core.Result) { done = res.Err == nil })
 	if !done || string(b.ReadLocal(10, 6)) != "mirror" {
 		t.Fatal("write not mirrored")
 	}
@@ -342,21 +362,21 @@ type flakyReplicator struct {
 	broken bool
 }
 
-func (f *flakyReplicator) Write(off, size int, durable bool, done func(error)) {
+func (f *flakyReplicator) Write(off, size int, durable bool, done func(core.Result)) {
 	f.inner.Write(off, size, durable, done)
 }
 
-func (f *flakyReplicator) Memcpy(dst, src, size int, durable bool, done func(error)) {
+func (f *flakyReplicator) Memcpy(dst, src, size int, durable bool, done func(core.Result)) {
 	if f.broken {
 		if done != nil {
-			done(fmt.Errorf("flaky: group failed"))
+			done(core.Result{Err: fmt.Errorf("flaky: group failed")})
 		}
 		return
 	}
 	f.inner.Memcpy(dst, src, size, durable, done)
 }
 
-func (f *flakyReplicator) Flush(done func(error)) { f.inner.Flush(done) }
+func (f *flakyReplicator) Flush(done func(core.Result)) { f.inner.Flush(done) }
 
 func TestFailedExecuteKeepsRecordReplayable(t *testing.T) {
 	client, rep1 := newMemStore(1<<16), newMemStore(1<<16)
@@ -403,7 +423,7 @@ func TestReattachReplicatesPendingToNewGroup(t *testing.T) {
 	// (simulate by clearing the flag, as an outage would leave it).
 	l.Append([]Entry{{Offset: 8192, Data: []byte("first")}}, nil)
 	l.Append([]Entry{{Offset: 8200, Data: []byte("second")}}, nil)
-	l.pending[1].acked = false
+	l.pending.At(1).acked = false
 
 	var attachErr error
 	attached := false
@@ -416,7 +436,7 @@ func TestReattachReplicatesPendingToNewGroup(t *testing.T) {
 	}
 	// Every pending record is re-acked and the new store holds the log
 	// bytes, so recovery from the NEW member sees both records.
-	if !l.pending[0].acked || !l.pending[1].acked {
+	if !l.pending.At(0).acked || !l.pending.At(1).acked {
 		t.Fatal("reattach did not re-ack pending records")
 	}
 	rec, err := Recover(fresh.ReadLocal, 0, 4096)
@@ -450,17 +470,17 @@ type asyncReplicator struct {
 	pending []func()
 }
 
-func (a *asyncReplicator) Write(off, size int, durable bool, done func(error)) {
+func (a *asyncReplicator) Write(off, size int, durable bool, done func(core.Result)) {
 	a.inner.Write(off, size, durable, done)
 }
 
-func (a *asyncReplicator) Memcpy(dst, src, size int, durable bool, done func(error)) {
+func (a *asyncReplicator) Memcpy(dst, src, size int, durable bool, done func(core.Result)) {
 	a.pending = append(a.pending, func() {
 		a.inner.Memcpy(dst, src, size, durable, done)
 	})
 }
 
-func (a *asyncReplicator) Flush(done func(error)) { a.inner.Flush(done) }
+func (a *asyncReplicator) Flush(done func(core.Result)) { a.inner.Flush(done) }
 
 func TestReattachDuringInflightExecute(t *testing.T) {
 	client, old, fresh := newMemStore(1<<16), newMemStore(1<<16), newMemStore(1<<16)
@@ -548,5 +568,182 @@ func TestTapLifecycleOrdering(t *testing.T) {
 	}
 	if len(tl.events) != 2 || tl.events[0] != "retarget:1" || tl.events[1] != "ack:1" {
 		t.Fatalf("reattach events: %v", tl.events)
+	}
+}
+
+// heldReplicator defers every completion until release, so a test can let a
+// superseded group's acks arrive arbitrarily late.
+type heldReplicator struct {
+	inner Replicator
+	held  []func()
+}
+
+func (h *heldReplicator) Write(off, size int, durable bool, done func(core.Result)) {
+	h.held = append(h.held, func() { h.inner.Write(off, size, durable, done) })
+}
+
+func (h *heldReplicator) Memcpy(dst, src, size int, durable bool, done func(core.Result)) {
+	h.held = append(h.held, func() { h.inner.Memcpy(dst, src, size, durable, done) })
+}
+
+func (h *heldReplicator) Flush(done func(core.Result)) {
+	h.held = append(h.held, func() { h.inner.Flush(done) })
+}
+
+func (h *heldReplicator) release() {
+	for len(h.held) > 0 {
+		fire := h.held[0]
+		h.held = h.held[1:]
+		fire()
+	}
+}
+
+// Reattach with an execute and an append still in flight on the old group,
+// whose acks then arrive after the records they belonged to have been
+// replayed, committed and recycled. The late acks must be fenced by the
+// record's generation: they report ErrRetargeted / their own result to their
+// callers and touch nothing — in particular not the recycled record now
+// carrying a newer append.
+func TestReattachFencesLateAcksFromRecycledRecords(t *testing.T) {
+	client, old, fresh := newMemStore(1<<16), newMemStore(1<<16), newMemStore(1<<16)
+	oldRep := &heldReplicator{inner: LocalReplicator{Stores: []Store{client, old}}}
+	newRep := &heldReplicator{inner: LocalReplicator{Stores: []Store{client, fresh}}}
+	l := New(client, oldRep, 0, 4096, nil)
+	tl := &tapLog{}
+	l.AddTap(tl)
+	oldRep.release()
+
+	appendRec := func(off int, data string, done func(error)) {
+		t.Helper()
+		if err := l.Append([]Entry{{Offset: off, Data: []byte(data)}}, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRec(8192, "rec-A", nil)
+	appendRec(8200, "rec-B", nil)
+	oldRep.release() // A and B acked by the old group
+	staleExec := error(nil)
+	if err := l.ExecuteAndAdvance(func(err error) { staleExec = err }); err != nil {
+		t.Fatal(err)
+	}
+	staleAppendAcks := 0
+	appendRec(8208, "rec-C", func(error) { staleAppendAcks++ })
+	// In flight on the old group: A's entry copy and C's append.
+
+	l.Reattach(newRep, nil)
+	newRep.release() // header + A, B, C re-replicated and (re)acked
+	if l.Pending() != 3 || l.Executing() != 0 {
+		t.Fatalf("after reattach: pending=%d executing=%d", l.Pending(), l.Executing())
+	}
+	if err := l.ExecuteAndAdvance(nil); err != nil { // replay A on the new group
+		t.Fatal(err)
+	}
+	newRep.release()
+	if len(l.freeRecs) != 1 {
+		t.Fatalf("replayed record not recycled: %d free", len(l.freeRecs))
+	}
+	recycled := l.freeRecs[0]
+	appendRec(8216, "rec-D", nil) // takes the recycled record; its ack is still held
+	if len(l.freeRecs) != 0 || l.pending.At(2) != recycled {
+		t.Fatal("new append did not reuse the recycled record")
+	}
+
+	oldRep.release() // the superseded group's acks finally arrive
+	if staleExec != ErrRetargeted {
+		t.Fatalf("stale execute reported %v, want ErrRetargeted", staleExec)
+	}
+	if staleAppendAcks != 1 {
+		t.Fatalf("C's append completion fired %d times, want once", staleAppendAcks)
+	}
+	if recycled.acked || recycled.released || recycled.rec.Seq != 3 {
+		t.Fatalf("late ack touched the recycled record: %+v", recycled.rec)
+	}
+	if l.Pending() != 3 || l.Executing() != 0 {
+		t.Fatalf("late acks disturbed the queues: pending=%d executing=%d", l.Pending(), l.Executing())
+	}
+
+	newRep.release() // D acked
+	for l.Pending() > 0 {
+		if err := l.ExecuteAndAdvance(nil); err != nil {
+			t.Fatal(err)
+		}
+		newRep.release()
+	}
+	for off, want := range map[int]string{8192: "rec-A", 8200: "rec-B", 8208: "rec-C", 8216: "rec-D"} {
+		if got := fresh.ReadLocal(off, 5); string(got) != want {
+			t.Fatalf("new member at %d: %q, want %q", off, got, want)
+		}
+	}
+	// The one event the unpooled log fired here and this one does not: a second
+	// "ack:2" when the old group's late success ack for C arrived — fenced now,
+	// like the execute path's stale completions always were.
+	want := "append:0(1) append:1(1) ack:0 ack:1 apply:0 append:2(1) retarget:1 " +
+		"ack:0 ack:1 ack:2 apply:0 commit:0 append:3(1) " + // replay: A applies and commits exactly once
+		"ack:3 apply:1 commit:1 apply:2 commit:2 apply:3 commit:3"
+	if got := strings.Join(tl.events, " "); got != want {
+		t.Fatalf("tap sequence:\n got  %s\n want %s", got, want)
+	}
+}
+
+// A completion delivered to a record on the free list is a lifetime bug and
+// must panic rather than corrupt whichever append takes the record next.
+func TestReleasedRecordPoisoned(t *testing.T) {
+	store := newMemStore(1 << 16)
+	l := New(store, LocalReplicator{Stores: []Store{store}}, 0, 4096, nil)
+	if err := l.Append([]Entry{{Offset: 8192, Data: []byte("x")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ExecuteAndAdvance(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.freeRecs) != 1 {
+		t.Fatalf("%d free records, want 1", len(l.freeRecs))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("completion on a released record did not panic")
+		}
+	}()
+	l.freeRecs[0].onAppendAck(core.Result{})
+}
+
+// retainingTap keeps the entries it is handed without copying — the mistake
+// the Entry contract forbids.
+type retainingTap struct {
+	tapLog
+	kept []Entry
+}
+
+func (rt *retainingTap) Appended(seq uint64, entries []Entry) {
+	rt.kept = append(rt.kept, entries...)
+}
+
+// Entry.Data aliases ring bytes until the head passes the record. With the
+// test-only poison on, a tap that retained without copying sees its data
+// scribbled over at commit, while one that copied is unaffected.
+func TestEntryDataAliasesRingUntilCommit(t *testing.T) {
+	store := newMemStore(1 << 16)
+	l := New(store, LocalReplicator{Stores: []Store{store}}, 0, 4096, nil)
+	l.poisonReclaimed = true
+	rt := &retainingTap{}
+	l.AddTap(rt)
+	if err := l.Append([]Entry{{Offset: 8192, Data: []byte("payload")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	copied := append([]byte(nil), rt.kept[0].Data...)
+	if string(rt.kept[0].Data) != "payload" {
+		t.Fatalf("entry data before commit: %q", rt.kept[0].Data)
+	}
+	if err := l.ExecuteAndAdvance(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.ReadLocal(8192, 7); string(got) != "payload" {
+		t.Fatalf("applied data: %q", got)
+	}
+	if string(copied) != "payload" {
+		t.Fatalf("copied entry changed: %q", copied)
+	}
+	if !bytes.Equal(rt.kept[0].Data, bytes.Repeat([]byte{0xDB}, 7)) {
+		t.Fatalf("retained entry not poisoned after the head passed it: %q", rt.kept[0].Data)
 	}
 }
