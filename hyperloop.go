@@ -147,7 +147,7 @@ type (
 )
 
 // Chaos-testing types: the deterministic fault-injection plane and the
-// post-recovery invariant checkers (see cmd/hlchaos).
+// post-recovery invariant checkers (see `hl chaos`, cmd/hl).
 type (
 	// FaultPlane schedules seeded fault scenarios against a live cluster.
 	FaultPlane = faults.Plane
@@ -167,7 +167,7 @@ type (
 
 // Sharded data-plane types: a keyspace routed across many HyperLoop groups
 // on a shared host pool, with live epoch-fenced shard migration and
-// hot-shard rebalancing (see cmd/hlshard).
+// hot-shard rebalancing (see `hl shard`, cmd/hl).
 type (
 	// ShardPlane is the sharded front-end over per-shard KVStores.
 	ShardPlane = shard.Plane

@@ -345,3 +345,63 @@ func ReadScaling(spread []int, readsPer int, seed int64) ([]ReadScalingPoint, er
 	}
 	return out, nil
 }
+
+// multigroupScenario sweeps co-located replication groups sharing three
+// servers — the multi-tenant deployment study (extension beyond the paper's
+// figures).
+func multigroupScenario(e *Env) error {
+	e.Println("=== Multi-group co-location: probe-group gWRITE latency ===")
+	counts := []int{1, 16, 64}
+	pts, err := RunParallel(Parallelism(), len(counts)*len(microSystems),
+		func(i int) (MultiGroupPoint, error) {
+			return MultiGroupCoLocation(microSystems[i%len(microSystems)],
+				counts[i/len(microSystems)], microOps(e)/4, e.Seed)
+		})
+	if err != nil {
+		return err
+	}
+	t := stats.NewTable("groups", "HL-avg", "HL-p99", "Naive-avg", "Naive-p99")
+	for ci, n := range counts {
+		hl, nv := pts[ci*len(microSystems)], pts[ci*len(microSystems)+1]
+		t.AddRow(fmt.Sprint(n), us(hl.Probe.Mean), us(hl.Probe.P99), us(nv.Probe.Mean), us(nv.Probe.P99))
+	}
+	e.Table(t)
+	return nil
+}
+
+// ablationsScenario prints the DESIGN.md §5 one-line ablations.
+func ablationsScenario(e *Env) error {
+	ops := microOps(e)
+	e.Println("=== Ablations (DESIGN.md §5) ===")
+	vol, dur, err := AblationFlush(1024, ops, e.Seed)
+	if err != nil {
+		return err
+	}
+	e.Printf("gFLUSH interleave:    volatile avg %s -> durable avg %s (+%.0f%%)\n",
+		us(vol.Mean), us(dur.Mean), 100*(float64(dur.Mean)/float64(vol.Mean)-1))
+
+	nic, cpu, err := AblationForwarding(1024, ops, e.Seed)
+	if err != nil {
+		return err
+	}
+	e.Printf("forwarding (idle):    NIC avg %s vs CPU avg %s (%.1fx)\n",
+		us(nic.Mean), us(cpu.Mean), float64(cpu.Mean)/float64(nic.Mean))
+
+	pts, err := AblationReplenishBatch(
+		[]sim.Duration{10 * sim.Microsecond, 100 * sim.Microsecond, 1000 * sim.Microsecond}, 4000, e.Seed)
+	if err != nil {
+		return err
+	}
+	for _, p := range pts {
+		e.Printf("replenish every %-7v -> replica CPU %5.1f%%core, avg latency %s\n",
+			p.Period, p.CPUCorePct, us(p.MeanLatency))
+	}
+
+	with, without, err := AblationWakeupBonus(1024, ops/2, e.Seed)
+	if err != nil {
+		return err
+	}
+	e.Printf("scheduler model:      CFS-wakeup avg %s vs pure-FIFO avg %s\n",
+		us(with.Mean), us(without.Mean))
+	return nil
+}

@@ -6,7 +6,6 @@ import (
 	"hyperloop/internal/check"
 	"hyperloop/internal/faults"
 	"hyperloop/internal/load"
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/sim"
 )
 
@@ -42,13 +41,8 @@ type AdmissionBurstVerdict struct {
 	Baseline     load.Result
 	Burst        load.Result
 	Uncontrolled load.Result
-	Checks       check.Report
-	// Metrics is the burst run's merged registry (group order).
-	Metrics *metrics.Registry
+	Judged       // Metrics is the burst run's merged registry (group order)
 }
-
-// Pass reports whether every check passed.
-func (v AdmissionBurstVerdict) Pass() bool { return v.Checks.AllPass() }
 
 // tenant returns the named tenant's merged stats from a run.
 func tenant(r load.Result, name string) load.TenantStat {
@@ -168,13 +162,26 @@ func RunAdmissionBurst(p AdmissionBurstParams) AdmissionBurstVerdict {
 	return v
 }
 
-// AdmissionBurstMatrix runs n tenant-burst scenarios at consecutive seeds.
-func AdmissionBurstMatrix(baseSeed int64, n int) []AdmissionBurstVerdict {
-	out, err := RunParallel(Parallelism(), n, func(i int) (AdmissionBurstVerdict, error) {
-		return RunAdmissionBurst(AdmissionBurstParams{Seed: baseSeed + int64(i)}), nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("admission burst: %v", err))
-	}
-	return out
+// admissionBurstAt runs the tenant-burst scenario planned for seed.
+func admissionBurstAt(seed int64) AdmissionBurstVerdict {
+	return RunAdmissionBurst(AdmissionBurstParams{Seed: seed})
+}
+
+func (v AdmissionBurstVerdict) row() []string {
+	agg := tenant(v.Burst, "aggressor")
+	return []string{fmt.Sprint(v.Params.Seed), fmt.Sprintf("%dx", v.Spec.BurstMult),
+		fmt.Sprintf("%.0f/s+%.0f", v.Spec.AggressorRate, v.Spec.AggressorBurst),
+		fmt.Sprintf("%d/%d", agg.Throttled, agg.Arrivals),
+		victimP99s(v.Baseline, v.Burst, v.Uncontrolled), v.Checks.Summary()}
+}
+
+func (v AdmissionBurstVerdict) detail(e *Env) {
+	printDetail[string](e, v.Spec, nil, v.Checks)
+}
+
+// victimP99s is the "base / burst / off" cell of the tenant-burst tables:
+// the victim's p99 in the calm, controlled and uncontrolled runs.
+func victimP99s(base, burst, off load.Result) string {
+	return fmt.Sprintf("%v / %v / %v", tenant(base, "victim").P99,
+		tenant(burst, "victim").P99, tenant(off, "victim").P99)
 }

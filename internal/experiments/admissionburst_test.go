@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAdmissionBurstIsolatesVictim(t *testing.T) {
-	for i, v := range AdmissionBurstMatrix(1, 2) {
+	for i, v := range seedMatrix(1, 2, admissionBurstAt) {
 		seed := int64(1 + i)
 		t.Logf("seed %d: %v", seed, v.Spec)
 		for _, c := range v.Checks {

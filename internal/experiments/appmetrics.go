@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"hyperloop/internal/metrics"
-)
+import "hyperloop/internal/metrics"
 
 // Instrumented collection passes over the application and motivation rigs,
 // mirroring MicroMetrics: one cell per configuration, each with a private
@@ -16,7 +12,7 @@ import (
 // registries in input order.
 func AppMetrics(seed int64, ops int) (*metrics.Registry, error) {
 	systems := []System{HyperLoop, NaivePolling}
-	cells, err := RunParallel(Parallelism(), 2*len(systems), func(i int) (*metrics.Registry, error) {
+	return collectCells("app", 2*len(systems), func(i int) (*metrics.Registry, error) {
 		reg := metrics.NewRegistry()
 		p := AppParams{
 			System: systems[i%len(systems)], Ops: ops, Records: 500,
@@ -30,14 +26,6 @@ func AppMetrics(seed int64, ops int) (*metrics.Registry, error) {
 		}
 		return reg, err
 	})
-	if err != nil {
-		return nil, fmt.Errorf("app metrics: %w", err)
-	}
-	merged := metrics.NewRegistry()
-	for _, c := range cells {
-		merged.Merge(c)
-	}
-	return merged, nil
 }
 
 // MotivationMetrics drives one Figure 2(a)-style cell per replica-set count
@@ -45,19 +33,11 @@ func AppMetrics(seed int64, ops int) (*metrics.Registry, error) {
 // order.
 func MotivationMetrics(seed int64, opsPerSet int) (*metrics.Registry, error) {
 	setCounts := []int{9, 18}
-	cells, err := RunParallel(Parallelism(), len(setCounts), func(i int) (*metrics.Registry, error) {
+	return collectCells("motivation", len(setCounts), func(i int) (*metrics.Registry, error) {
 		reg := metrics.NewRegistry()
 		_, err := Motivation(MotivationParams{
 			ReplicaSets: setCounts[i], OpsPerSet: opsPerSet, Seed: seed, Metrics: reg,
 		})
 		return reg, err
 	})
-	if err != nil {
-		return nil, fmt.Errorf("motivation metrics: %w", err)
-	}
-	merged := metrics.NewRegistry()
-	for _, c := range cells {
-		merged.Merge(c)
-	}
-	return merged, nil
 }

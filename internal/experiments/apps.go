@@ -367,3 +367,64 @@ func MongoDB(p AppParams) (MongoResult, error) {
 		BackupCPU: cpu * 100,
 	}, nil
 }
+
+// --- §6.2 scenarios ---
+
+// appSize is the preloaded-record and measured-op count of a §6.2 cell.
+func appSize(e *Env) (records int64, ops int) {
+	if e.Quick {
+		return 300, 3000
+	}
+	return 2000, 20000
+}
+
+func fig11Scenario(e *Env) error {
+	e.Println("=== Figure 11: replicated RocksDB, YCSB-A updates, 10:1 co-location ===")
+	records, ops := appSize(e)
+	var ps []AppParams
+	for _, sys := range []System{HyperLoop, NaiveEvent, NaivePolling} {
+		ps = append(ps, AppParams{System: sys, Records: records, Ops: ops, TenantsPerCore: 10, Seed: e.Seed})
+	}
+	results, err := RocksDBSweep(ps)
+	if err != nil {
+		return err
+	}
+	t := stats.NewTable("system", "avg", "p95", "p99", "p99-vs-HL")
+	hlP99 := results[0].Latency.P99
+	for _, r := range results {
+		t.AddRow(r.System, ms(r.Latency.Mean), ms(r.Latency.P95), ms(r.Latency.P99),
+			fmt.Sprintf("%.1fx", float64(r.Latency.P99)/float64(hlP99)))
+	}
+	e.Table(t)
+	return nil
+}
+
+func fig12Scenario(e *Env) error {
+	e.Println("=== Figure 12: MongoDB-style store, YCSB A/B/D/E/F, native vs HyperLoop ===")
+	records, ops := appSize(e)
+	names := []string{"A", "B", "D", "E", "F"}
+	var ps []AppParams
+	for _, name := range names {
+		for _, sys := range []System{NaivePolling, HyperLoop} {
+			ps = append(ps, AppParams{
+				System: sys, Workload: ycsb.Workloads[name],
+				Records: records, Ops: ops, TenantsPerCore: 10, Seed: e.Seed,
+			})
+		}
+	}
+	results, err := MongoDBSweep(ps)
+	if err != nil {
+		return err
+	}
+	t := stats.NewTable("workload", "native-avg", "native-p99", "HL-avg", "HL-p99", "avg-cut", "gap-cut")
+	for ni, name := range names {
+		nv, hl := results[2*ni].Latency, results[2*ni+1].Latency
+		avgCut := 100 * (1 - float64(hl.Mean)/float64(nv.Mean))
+		gapCut := 100 * (1 - float64(hl.P99-hl.Mean)/float64(nv.P99-nv.Mean))
+		t.AddRow(name, ms(nv.Mean), ms(nv.P99), ms(hl.Mean), ms(hl.P99),
+			fmt.Sprintf("%.0f%%", avgCut), fmt.Sprintf("%.0f%%", gapCut))
+	}
+	e.Table(t)
+	e.Println("(avg-cut: average write-latency reduction; gap-cut: avg<->p99 gap reduction)")
+	return nil
+}

@@ -63,12 +63,8 @@ type ColdRestoreVerdict struct {
 	Restore         stream.RestoreStats
 	Stream          stream.StreamerStats
 	Store           objstore.Stats
-	Checks          check.Report
-	Metrics         *metrics.Registry
+	Judged
 }
-
-// Pass reports whether every invariant check passed.
-func (v ColdRestoreVerdict) Pass() bool { return v.Checks.AllPass() }
 
 // RunColdRestoreScenario runs the chaos rig with its stream shaped by p,
 // destroys the planned victim for good, and repairs the chain from the
@@ -144,7 +140,7 @@ func RunColdRestoreScenario(p ColdRestoreParams) ColdRestoreVerdict {
 		Restore:         restoreStats,
 		Stream:          str.Stats(),
 		Store:           r.obs.Stats(),
-		Metrics:         r.reg,
+		Judged:          Judged{Metrics: r.reg},
 	}
 	v.Committed, v.Errored = r.tally()
 	if at, ok := r.mgr.LastDetection(); ok && r.resumed {
@@ -210,14 +206,29 @@ func ackedLost(buf []byte, recs []*check.TxnRecord) int {
 	return lost
 }
 
-// ColdRestoreMatrix runs n cold-restore scenarios seeded baseSeed..+n-1,
-// fanned over the worker pool, verdicts in seed order.
-func ColdRestoreMatrix(baseSeed int64, n int) []ColdRestoreVerdict {
-	out, _ := RunParallel(Parallelism(), n, func(i int) (ColdRestoreVerdict, error) {
-		return RunColdRestoreScenario(ColdRestoreParams{Seed: baseSeed + int64(i)}), nil
-	})
-	return out
+// coldRestoreAt runs the default-shaped cold-restore scenario planned for
+// seed.
+func coldRestoreAt(seed int64) ColdRestoreVerdict {
+	return RunColdRestoreScenario(ColdRestoreParams{Seed: seed})
 }
+
+func (v ColdRestoreVerdict) row() []string {
+	chaos := "-"
+	switch {
+	case v.Spec.KillUploader && v.Spec.KillRestorer:
+		chaos = "uploader+restorer"
+	case v.Spec.KillUploader:
+		chaos = "uploader"
+	case v.Spec.KillRestorer:
+		chaos = "restorer"
+	}
+	return []string{fmt.Sprint(v.Spec.Seed), fmt.Sprintf("r%d", v.Spec.VictimIdx),
+		fmt.Sprint(v.Spec.FaultAt), chaos, fmt.Sprint(v.RTO),
+		fmt.Sprint(v.RPOCold), fmt.Sprint(v.AckedLost),
+		fmt.Sprint(v.RestoreAttempts), v.Checks.Summary()}
+}
+
+func (v ColdRestoreVerdict) detail(e *Env) { printDetail(e, v.Spec, v.Timeline, v.Checks) }
 
 // RestoreCell is one point of the RTO/RPO sweep.
 type RestoreCell struct {
@@ -245,4 +256,69 @@ func RestoreSweep(seed int64, segBytes []int, snapEvery []sim.Duration) []Restor
 		}, nil
 	})
 	return out
+}
+
+func (c RestoreCell) Pass() bool                  { return c.Verdict.Pass() }
+func (c RestoreCell) registry() *metrics.Registry { return c.Verdict.Metrics }
+
+func (c RestoreCell) row() []string {
+	v := c.Verdict
+	return []string{fmt.Sprintf("%dKiB", c.SegmentBytes>>10), fmt.Sprint(c.SnapshotEvery),
+		fmt.Sprint(v.RTO), fmt.Sprint(v.RPOCold), fmt.Sprint(v.AckedLost),
+		fmt.Sprint(v.RestoreAttempts), fmt.Sprint(v.Stream.Segments),
+		fmt.Sprint(v.Stream.Snapshots), fmt.Sprint(v.Stream.Retries), v.Checks.Summary()}
+}
+
+func (c RestoreCell) detail(e *Env) {
+	printDetail[string](e, fmt.Sprintf("seg=%d snap=%v", c.SegmentBytes, c.SnapshotEvery), nil, c.Verdict.Checks)
+}
+
+// Sweep axes of `hl restore`: segment size changes replay chunking, snapshot
+// interval changes how much tail the restore replays on top of the baseline
+// image.
+var (
+	sweepSegBytes  = []int{1 << 10, 4 << 10, 16 << 10}
+	sweepSnapEvery = []sim.Duration{10 * sim.Millisecond, 40 * sim.Millisecond}
+	offloadChains  = []int{2, 3, 5}
+)
+
+// restoreScenario runs the ephemeral-replica plane in three sections: the
+// headline cold-restore scenario (the checks table is the verdict: RPO over
+// acked commits must be zero), the RTO/RPO sweep across segment-size x
+// snapshot-interval cells, and the CRAQ read-offload scaling tables.
+func restoreScenario(e *Env) error {
+	v := RunColdRestoreScenario(ColdRestoreParams{Seed: e.Seed})
+	e.Merge(v.Metrics)
+	e.Printf("=== Cold restore: %v ===\n", v.Spec)
+	e.Printf("detect=%v rto=%v rpo-cold=%d acked-lost=%d attempts=%d txns=%d/%d\n",
+		v.DetectIn, v.RTO, v.RPOCold, v.AckedLost, v.RestoreAttempts, v.Committed, v.Errored)
+	e.Printf("restore: %dB snapshot + %d segments (%d records) to seq %d in %v\n",
+		v.Restore.SnapshotBytes, v.Restore.Segments, v.Restore.Records,
+		v.Restore.RestoredSeq, v.Restore.Elapsed)
+	e.Printf("stream: %d segments, %d snapshots, %d records, %d retries\n",
+		v.Stream.Segments, v.Stream.Snapshots, v.Stream.Records, v.Stream.Retries)
+	e.Checks(v.Checks)
+	if e.Verbose || !v.Pass() {
+		for _, ev := range v.Timeline {
+			e.Printf("    %v\n", ev)
+		}
+	}
+
+	printVerdicts(e, fmt.Sprintf("RTO/RPO sweep: %d segment sizes x %d snapshot intervals (seed %d)",
+		len(sweepSegBytes), len(sweepSnapEvery), e.Seed),
+		RestoreSweep(e.Seed, sweepSegBytes, sweepSnapEvery),
+		"segment", "snapshot", "rto", "rpo-cold", "acked-lost", "attempts", "segs", "snaps", "retries", "checks")
+
+	for _, wl := range []string{"B", "D"} {
+		printVerdicts(e, fmt.Sprintf("Read offload: YCSB-%s, chains %v (seed %d)", wl, offloadChains, e.Seed),
+			ReadOffloadSweep(wl, offloadChains, e.Seed, e.EngineWorkers),
+			"chain", "tail kops/s", "spread kops/s", "speedup", "clean/dirty (spread)", "tail p50", "spread p50")
+	}
+
+	if e.failed > 0 {
+		e.Printf("%d checks FAILED\n", e.failed)
+	} else {
+		e.Println("all checks passed")
+	}
+	return nil
 }

@@ -37,7 +37,7 @@ func TestColdRestoreDeterministic(t *testing.T) {
 // between them hit the uploader-kill and restorer-kill chaos arms — all with
 // zero acked writes lost and every invariant green.
 func TestColdRestoreMatrixPasses(t *testing.T) {
-	verdicts := ColdRestoreMatrix(1, 6)
+	verdicts := seedMatrix(1, 6, coldRestoreAt)
 	sawUploaderKill, sawRestorerKill := false, false
 	for _, v := range verdicts {
 		if !v.Pass() {
@@ -71,9 +71,9 @@ func TestColdRestoreMatrixPasses(t *testing.T) {
 func TestColdRestoreOrderStable(t *testing.T) {
 	SetParallelism(4)
 	defer SetParallelism(0)
-	a := ColdRestoreMatrix(11, 3)
+	a := seedMatrix(11, 3, coldRestoreAt)
 	SetParallelism(1)
-	b := ColdRestoreMatrix(11, 3)
+	b := seedMatrix(11, 3, coldRestoreAt)
 	for i := range a {
 		ra, rb := renderColdVerdict(a[i]), renderColdVerdict(b[i])
 		if ra != rb {

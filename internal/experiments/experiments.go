@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§2.2 motivation and §6): the same workloads, parameter
 // sweeps, baselines, and reported statistics, over the simulated cluster.
-// Each experiment is a plain function returning rows, shared by the cmd/
-// binaries, the root benchmark suite, and EXPERIMENTS.md.
+// Each experiment is a plain function returning rows, shared by the root
+// benchmark suite, EXPERIMENTS.md and the scenario registry (registry.go):
+// the entry that renders a RunX sits beside it, and cmd/hl runs them all.
 package experiments
 
 import (

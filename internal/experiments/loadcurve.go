@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 
 	"hyperloop/internal/load"
+	"hyperloop/internal/metrics"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/stats"
 )
 
 // Load-curve experiment: the open-loop serving plane driven through and past
@@ -36,9 +39,6 @@ type LoadCurveParams struct {
 	Seed    int64
 	// Workers is the engine worker count inside each point's partitioned run.
 	Workers int
-	// Parallel runs curve points concurrently (wall-clock only; each point
-	// owns its engines).
-	Parallel int
 	// Quick shrinks the sweep for CI: 3 mults, 2 fusion depths.
 	Quick bool
 }
@@ -76,9 +76,6 @@ func (p *LoadCurveParams) fill() {
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
-	}
-	if p.Parallel <= 0 {
-		p.Parallel = 1
 	}
 }
 
@@ -159,13 +156,14 @@ func (p LoadCurveParams) Saturate(system string) load.Result {
 
 // RunLoadCurve measures saturation per system and sweeps offered load across
 // Mults of it with admission on and off, plus the fusion-depth sweep at
-// saturation. Deterministic for a given seed at any Workers/Parallel count.
+// saturation. Points fan over the configured worker pool; deterministic for a given seed
+// at any Workers or pool size.
 func RunLoadCurve(p LoadCurveParams) LoadCurveResult {
 	p.fill()
 	res := LoadCurveResult{CapacityKops: make(map[string]float64)}
 
 	// Phase 1: saturation probes (parallel across systems).
-	caps, err := RunParallel(p.Parallel, len(p.Systems), func(i int) (float64, error) {
+	caps, err := RunParallel(Parallelism(), len(p.Systems), func(i int) (float64, error) {
 		return p.Saturate(p.Systems[i]).TputKops, nil
 	})
 	if err != nil {
@@ -189,7 +187,7 @@ func RunLoadCurve(p LoadCurveParams) LoadCurveResult {
 			}
 		}
 	}
-	points, err := RunParallel(p.Parallel, len(cells), func(i int) (LoadPoint, error) {
+	points, err := RunParallel(Parallelism(), len(cells), func(i int) (LoadPoint, error) {
 		c := cells[i]
 		offered := c.mult * res.CapacityKops[c.sys] * 1e3
 		r := load.Run(p.config(c.sys, offered, c.adm))
@@ -209,7 +207,7 @@ func RunLoadCurve(p LoadCurveParams) LoadCurveResult {
 			continue
 		}
 		offered := res.CapacityKops[sys] * 1e3
-		fusion, ferr := RunParallel(p.Parallel, len(p.FusionDepths), func(i int) (FusionPoint, error) {
+		fusion, ferr := RunParallel(Parallelism(), len(p.FusionDepths), func(i int) (FusionPoint, error) {
 			// Coalescing needs a dispatch window spanning several arrivals:
 			// hold the queue for 50µs (a tenth of the SLO), release it as one
 			// same-instant batch, and let WQE-chain fusion turn the batch
@@ -234,9 +232,9 @@ func RunLoadCurve(p LoadCurveParams) LoadCurveResult {
 }
 
 // LoadMetrics runs one instrumented admission-on point at saturation-probe
-// load and returns its merged registry — the byte-reproducible dump the CI
+// load and returns its merged registry — the byte-reproducible dump the
 // determinism gate diffs across engine worker counts.
-func LoadMetrics(seed int64, workers int) ([]byte, error) {
+func LoadMetrics(seed int64, workers int) (*metrics.Registry, error) {
 	p := LoadCurveParams{Seed: seed, Workers: workers, Quick: true}
 	p.fill()
 	cfg := p.config("hyperloop", probeOffered, true)
@@ -246,5 +244,72 @@ func LoadMetrics(seed int64, workers int) ([]byte, error) {
 	if err := r.CheckAccounting(); err != nil {
 		return nil, err
 	}
-	return r.MergedRegistry().ExportJSON()
+	return r.MergedRegistry(), nil
+}
+
+// loadFlags registers the population flags the curve and fusion halves of
+// `hl load` share.
+func loadFlags(fs *flag.FlagSet) {
+	fs.Int("clients", 1<<20, "modeled connection-id space across groups")
+	fs.String("arrival", "poisson", "arrival process: poisson or bmodel")
+}
+
+// loadCurve runs the sweep once per invocation: `hl load` renders its curve
+// and fusion tables from the same RunLoadCurve.
+func loadCurve(e *Env) LoadCurveResult {
+	if e.curve == nil {
+		r := RunLoadCurve(LoadCurveParams{
+			Seed: e.Seed, Clients: e.Int("clients"), Arrival: e.Str("arrival"),
+			Workers: e.EngineWorkers, Quick: e.Quick,
+		})
+		e.curve = &r
+	}
+	return *e.curve
+}
+
+// curveScenario prints the goodput/p99.9-vs-offered-load table per system:
+// past the knee the admission-on rows hold goodput at capacity while the
+// admission-off rows collapse into their hidden queue.
+func curveScenario(e *Env) error {
+	res := loadCurve(e)
+	e.Printf("=== Load curve: %s arrivals, %d modeled clients, SLO-bounded goodput ===\n",
+		e.Str("arrival"), e.Int("clients"))
+	e.Printf("measured saturation:")
+	for _, sys := range []string{"hyperloop", "naive"} {
+		if c, ok := res.CapacityKops[sys]; ok {
+			e.Printf(" %s=%.1fkops", sys, c)
+		}
+	}
+	e.Println()
+
+	t := stats.NewTable("system", "admission", "mult", "offered-kops", "tput-kops",
+		"goodput-kops", "p50", "p99.9", "shed", "unserved", "conns")
+	for _, pt := range res.Points {
+		v, admission := pt.Verdicts, "off"
+		if pt.Admission {
+			admission = "on"
+		}
+		t.AddRow(pt.System, admission, fmt.Sprintf("%.2f", pt.Mult),
+			fmt.Sprintf("%.1f", pt.Offered/1e3),
+			fmt.Sprintf("%.1f", pt.TputKops), fmt.Sprintf("%.1f", pt.GoodputKops),
+			us(pt.Lat.P50), us(pt.P999),
+			fmt.Sprint(v.ShedQueueFull+v.ShedThrottled), fmt.Sprint(v.Unserved),
+			fmt.Sprint(pt.ConnsOpened))
+	}
+	e.Table(t)
+	return nil
+}
+
+// fusionScenario prints the WQE-chain fusion-depth sweep at saturation.
+func fusionScenario(e *Env) error {
+	e.Println("=== Fusion sweep: HyperLoop at saturation, doorbell cost 200ns ===")
+	t := stats.NewTable("depth", "tput-kops", "goodput-kops", "p50", "p99.9",
+		"doorbells", "fused-batches", "fused-ops")
+	for _, pt := range loadCurve(e).Fusion {
+		t.AddRow(fmt.Sprint(pt.Depth), fmt.Sprintf("%.1f", pt.TputKops),
+			fmt.Sprintf("%.1f", pt.GoodputKops), us(pt.Lat.P50), us(pt.P999),
+			fmt.Sprint(pt.Doorbells), fmt.Sprint(pt.FusedBatches), fmt.Sprint(pt.FusedOps))
+	}
+	e.Table(t)
+	return nil
 }

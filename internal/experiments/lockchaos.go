@@ -33,17 +33,13 @@ type LockContentionVerdict struct {
 	Retries  uint64 // CAS retries recorded by the lock manager
 	MaxHeld  int    // max concurrent critical-section occupancy observed
 	Timeline []faults.Event
-	Checks   check.Report
-	Metrics  *metrics.Registry
+	Judged
 }
-
-// Pass reports whether every invariant check passed.
-func (v LockContentionVerdict) Pass() bool { return v.Checks.AllPass() }
 
 // RunLockContention plans and judges one lock-contention scenario.
 func RunLockContention(p LockContentionParams) LockContentionVerdict {
 	spec := faults.PlanLockContention(p.Seed)
-	v := LockContentionVerdict{Params: p, Spec: spec, Metrics: metrics.NewRegistry()}
+	v := LockContentionVerdict{Params: p, Spec: spec, Judged: Judged{Metrics: metrics.NewRegistry()}}
 
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.Config{
@@ -141,11 +137,16 @@ func RunLockContention(p LockContentionParams) LockContentionVerdict {
 	return v
 }
 
-// LockContentionMatrix runs seedsPer scenarios over the worker pool;
-// verdicts come back in seed order.
-func LockContentionMatrix(seed int64, seedsPer int) []LockContentionVerdict {
-	out, _ := RunParallel(Parallelism(), seedsPer, func(i int) (LockContentionVerdict, error) {
-		return RunLockContention(LockContentionParams{Seed: seed + int64(i)}), nil
-	})
-	return out
+// lockContentionAt runs the lock-contention scenario planned for seed.
+func lockContentionAt(seed int64) LockContentionVerdict {
+	return RunLockContention(LockContentionParams{Seed: seed})
 }
+
+func (v LockContentionVerdict) row() []string {
+	return []string{fmt.Sprint(v.Spec.Seed), fmt.Sprintf("2x%d", v.Spec.Cycles),
+		fmt.Sprint(v.Spec.Hold),
+		fmt.Sprintf("r%d@%v+%v", v.Spec.VictimIdx, v.Spec.StallAt, v.Spec.StallFor),
+		fmt.Sprint(v.Acquired), fmt.Sprint(v.Retries), v.Checks.Summary()}
+}
+
+func (v LockContentionVerdict) detail(e *Env) { printDetail(e, v.Spec, v.Timeline, v.Checks) }

@@ -8,7 +8,7 @@ import (
 // Every seeded lock-contention scenario must pass all invariants: mutual
 // exclusion through the NIC stall, full completion, and a free lock word.
 func TestLockContentionMatrixPasses(t *testing.T) {
-	for _, v := range LockContentionMatrix(1, 3) {
+	for _, v := range seedMatrix(1, 3, lockContentionAt) {
 		if !v.Pass() {
 			for _, c := range v.Checks {
 				t.Errorf("%v: %v", v.Spec, c)

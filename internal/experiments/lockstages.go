@@ -25,10 +25,8 @@ const lockStageBase = 900 << 10
 
 // LockStageResult is one arm's decomposed contended-acquire latency.
 type LockStageResult struct {
-	Arm      string // "nic-program" or "host-bounced"
-	Ops      int
-	EndToEnd sim.Duration // total across ops; Stages tile this exactly
-	Stages   []span.Stage
+	Arm string // "nic-program" or "host-bounced"
+	StageSums
 	// Attempts counts CAS attempts across all ops (retries + the wins).
 	Attempts uint64
 	// Doorbells counts client MMIO rings during the measured acquisitions —
@@ -37,24 +35,6 @@ type LockStageResult struct {
 	// ProgBranches counts NIC-side control transfers (retry re-arms and
 	// loop exits) taken on the client NIC during the acquisitions.
 	ProgBranches uint64
-}
-
-// Stage returns the summed duration of the named stage (0 if absent).
-func (r LockStageResult) Stage(name string) sim.Duration {
-	for _, s := range r.Stages {
-		if s.Name == name {
-			return s.Dur
-		}
-	}
-	return 0
-}
-
-// Share returns the named stage's fraction of end-to-end time.
-func (r LockStageResult) Share(name string) float64 {
-	if r.EndToEnd <= 0 {
-		return 0
-	}
-	return float64(r.Stage(name)) / float64(r.EndToEnd)
 }
 
 // classifyLockStage delegates to classifyStage but folds "client-post"
@@ -98,7 +78,7 @@ func RunLockStageBreakdown(hostOnly bool, ops int) LockStageResult {
 	if hostOnly {
 		arm = "host-bounced"
 	}
-	res := LockStageResult{Arm: arm, Ops: ops}
+	res := LockStageResult{Arm: arm, StageSums: StageSums{Ops: ops}}
 
 	var hold [8]byte
 	holder := locks.Word(9, 0)
@@ -137,9 +117,7 @@ func RunLockStageBreakdown(hostOnly bool, ops int) LockStageResult {
 		}
 		end := eng.Now()
 		after := cl.Client().NIC.Counters()
-		res.EndToEnd += end.Sub(start)
-		res.Stages = span.MergeStages(res.Stages,
-			span.Decompose(bridge.Events(), start, end, classifyLockStage))
+		res.add(bridge.Events(), start, end, classifyLockStage)
 		res.Doorbells += after.Doorbells - before.Doorbells
 		res.ProgBranches += after.ProgBranches - before.ProgBranches
 
@@ -168,25 +146,24 @@ func LockStageBreakdown(ops int) []LockStageResult {
 // offload counters that prove the host is out of the retry loop.
 func LockStageTable(rows []LockStageResult) *stats.Table {
 	header := []string{"arm", "end-to-end", "attempts/op", "doorbells/op", "branches/op"}
-	header = append(header, StageNames...)
-	tb := stats.NewTable(header...)
+	tb := stats.NewTable(append(header, StageNames...)...)
 	for _, r := range rows {
-		ops := r.Ops
-		if ops <= 0 {
-			ops = 1
-		}
-		cells := []string{
+		ops := float64(r.Ops)
+		tb.AddRow(append([]string{
 			r.Arm,
-			fmt.Sprintf("%v", r.EndToEnd/sim.Duration(ops)),
-			fmt.Sprintf("%.1f", float64(r.Attempts)/float64(ops)),
-			fmt.Sprintf("%.1f", float64(r.Doorbells)/float64(ops)),
-			fmt.Sprintf("%.1f", float64(r.ProgBranches)/float64(ops)),
-		}
-		for _, name := range StageNames {
-			cells = append(cells, fmt.Sprintf("%v (%.1f%%)",
-				r.Stage(name)/sim.Duration(ops), 100*r.Share(name)))
-		}
-		tb.AddRow(cells...)
+			fmt.Sprint(r.perOp(r.EndToEnd)),
+			fmt.Sprintf("%.1f", float64(r.Attempts)/ops),
+			fmt.Sprintf("%.1f", float64(r.Doorbells)/ops),
+			fmt.Sprintf("%.1f", float64(r.ProgBranches)/ops),
+		}, r.stageCells()...)...)
 	}
 	return tb
+}
+
+// lockstagesScenario renders the contended-lock-acquisition decomposition:
+// the NIC-resident gATOMIC_LOOP program vs the host-bounced retry loop.
+func lockstagesScenario(e *Env) error {
+	e.Println("=== Lock stage breakdown: contended WrLock, group=3, 40us foreign hold ===")
+	e.Table(LockStageTable(LockStageBreakdown(microOps(e) / 100)))
+	return nil
 }

@@ -224,3 +224,114 @@ func ThroughputSweep(systems []System, sizes []int, totalBytes int, seed int64) 
 	}
 	return rows, nil
 }
+
+// --- §6.1 scenarios ---
+
+// microSystems are the two columns of every §6.1 table.
+var microSystems = []System{HyperLoop, NaiveEvent}
+
+// microOps is the measured op count of a microbenchmark cell.
+func microOps(e *Env) int {
+	if e.Quick {
+		return 1500
+	}
+	return 10000
+}
+
+// microSizes is the message-size axis of Figures 8 and 10.
+func microSizes(e *Env) []int {
+	if e.Quick {
+		return []int{128, 1024, 8192}
+	}
+	return MsgSizesLatency
+}
+
+func microBase(e *Env) MicroParams {
+	return MicroParams{Ops: microOps(e), TenantsPerCore: 10, Durable: true, Seed: e.Seed}
+}
+
+// latencyScenario renders Figure 8(a) or 8(b): one primitive's latency
+// across message sizes, HyperLoop against the Naive baseline.
+func latencyScenario(title, prim string) func(*Env) error {
+	return func(e *Env) error {
+		e.Printf("=== %s (group=3, 10:1 co-location, durable) ===\n", title)
+		rows, err := LatencySweep(prim, microSizes(e), microSystems, microBase(e))
+		if err != nil {
+			return err
+		}
+		t := stats.NewTable("size", "HL-avg", "HL-p99", "Naive-avg", "Naive-p99", "p99-ratio")
+		for _, r := range rows {
+			hl, nv := r.ByName["HyperLoop"], r.ByName["Naive-Event"]
+			t.AddRow(fmt.Sprint(r.MsgSize), us(hl.Mean), us(hl.P99), us(nv.Mean), us(nv.P99),
+				fmt.Sprintf("%.0fx", float64(nv.P99)/float64(hl.P99)))
+		}
+		e.Table(t)
+		return nil
+	}
+}
+
+func table2Scenario(e *Env) error {
+	e.Println("=== Table 2: gCAS latency (group=3, 10:1 co-location) ===")
+	rows, err := LatencySweep("gcas", []int{1024}, microSystems, microBase(e))
+	if err != nil {
+		return err
+	}
+	hl, nv := rows[0].ByName["HyperLoop"], rows[0].ByName["Naive-Event"]
+	t := stats.NewTable("system", "avg", "p95", "p99")
+	t.AddRow("Naive-RDMA", us(nv.Mean), us(nv.P95), us(nv.P99))
+	t.AddRow("HyperLoop", us(hl.Mean), us(hl.P95), us(hl.P99))
+	t.AddRow("ratio",
+		fmt.Sprintf("%.1fx", float64(nv.Mean)/float64(hl.Mean)),
+		fmt.Sprintf("%.1fx", float64(nv.P95)/float64(hl.P95)),
+		fmt.Sprintf("%.1fx", float64(nv.P99)/float64(hl.P99)))
+	e.Table(t)
+	return nil
+}
+
+func fig9Scenario(e *Env) error {
+	sizes, totalBytes := MsgSizesThroughput, 256<<20
+	if e.Quick {
+		sizes, totalBytes = []int{1024, 8192, 65536}, 16<<20
+	}
+	e.Printf("=== Figure 9: gWRITE throughput + replica CPU (%d MB total) ===\n", totalBytes>>20)
+	rows, err := ThroughputSweep(microSystems, sizes, totalBytes, e.Seed)
+	if err != nil {
+		return err
+	}
+	t := stats.NewTable("size", "HL-kops/s", "HL-cpu%core", "Naive-kops/s", "Naive-cpu%core")
+	for _, r := range rows {
+		hl, nv := r.ByName["HyperLoop"], r.ByName["Naive-Event"]
+		t.AddRow(fmt.Sprint(r.MsgSize),
+			fmt.Sprintf("%.0f", hl.KopsSec), fmt.Sprintf("%.1f", hl.CPUCorePct),
+			fmt.Sprintf("%.0f", nv.KopsSec), fmt.Sprintf("%.1f", nv.CPUCorePct))
+	}
+	e.Table(t)
+	return nil
+}
+
+func fig10Scenario(e *Env) error {
+	e.Println("=== Figure 10: gWRITE p99 vs group size (10:1 co-location) ===")
+	groups, sizes := []int{3, 5, 7}, microSizes(e)
+	hl, err := GroupScaling(HyperLoop, groups, sizes, microBase(e))
+	if err != nil {
+		return err
+	}
+	nv, err := GroupScaling(NaiveEvent, groups, sizes, microBase(e))
+	if err != nil {
+		return err
+	}
+	// GroupScaling returns the grid group-major, so cell (g, m) of either
+	// system is at gi*len(sizes)+mi.
+	t := stats.NewTable("size", "HL-g3", "HL-g5", "HL-g7", "Naive-g3", "Naive-g5", "Naive-g7")
+	for mi, m := range sizes {
+		cells := []string{fmt.Sprint(m)}
+		for _, rows := range [][]GroupScalingRow{hl, nv} {
+			for gi := range groups {
+				cells = append(cells, us(rows[gi*len(sizes)+mi].P99))
+			}
+		}
+		t.AddRow(cells...)
+	}
+	e.Table(t)
+	return nil
+}

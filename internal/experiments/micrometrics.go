@@ -53,18 +53,29 @@ func RunMicroMetrics(p MicroParams) (*metrics.Registry, error) {
 // MicroMetrics runs the HyperLoop and Naive-Event cells over the worker
 // pool and merges their registries in input order.
 func MicroMetrics(seed int64, ops int) (*metrics.Registry, error) {
-	systems := []System{HyperLoop, NaiveEvent}
-	cells, err := RunParallel(Parallelism(), len(systems), func(i int) (*metrics.Registry, error) {
+	return collectCells("micro", len(microSystems), func(i int) (*metrics.Registry, error) {
 		return RunMicroMetrics(MicroParams{
-			System: systems[i], Ops: ops, TenantsPerCore: 10, Durable: true, Seed: seed,
+			System: microSystems[i], Ops: ops, TenantsPerCore: 10, Durable: true, Seed: seed,
 		})
 	})
+}
+
+// collectCells runs n instrumented cells over the worker pool, each with a
+// private registry, and merges them in input order.
+func collectCells(what string, n int, cell func(i int) (*metrics.Registry, error)) (*metrics.Registry, error) {
+	cells, err := RunParallel(Parallelism(), n, cell)
 	if err != nil {
-		return nil, fmt.Errorf("micro metrics: %w", err)
+		return nil, fmt.Errorf("%s metrics: %w", what, err)
 	}
+	return mergeRegistries(cells), nil
+}
+
+// mergeRegistries merges per-cell registries in input order — the fixed
+// order is what makes the dump byte-identical at any worker count.
+func mergeRegistries(cells []*metrics.Registry) *metrics.Registry {
 	merged := metrics.NewRegistry()
 	for _, c := range cells {
 		merged.Merge(c)
 	}
-	return merged, nil
+	return merged
 }

@@ -227,3 +227,40 @@ func Motivation(p MotivationParams) (MotivationResult, error) {
 		Utilization:     util / 3,
 	}, nil
 }
+
+// fig2Scenario renders one half of Figure 2: latency, normalised context
+// switches and utilisation along one axis — replica-sets (2a) or cores per
+// server (2b) — of the co-location sweep.
+func fig2Scenario(title, axis string, full, quick []int, cell func(x int) MotivationParams) func(*Env) error {
+	return func(e *Env) error {
+		e.Printf("=== %s ===\n", title)
+		xs, opsPerSet := full, 2000
+		if e.Quick {
+			xs, opsPerSet = quick, 400
+		}
+		ps := make([]MotivationParams, len(xs))
+		for i, x := range xs {
+			ps[i] = cell(x)
+			ps[i].OpsPerSet, ps[i].Seed = opsPerSet, e.Seed
+		}
+		results, err := MotivationSweep(ps)
+		if err != nil {
+			return err
+		}
+		var maxSw uint64
+		for _, r := range results {
+			if r.ContextSwitches > maxSw {
+				maxSw = r.ContextSwitches
+			}
+		}
+		t := stats.NewTable(axis, "avg", "p95", "p99", "ctx-switches(norm)", "util")
+		for i, r := range results {
+			t.AddRow(fmt.Sprint(xs[i]),
+				ms(r.Latency.Mean), ms(r.Latency.P95), ms(r.Latency.P99),
+				fmt.Sprintf("%.2f", float64(r.ContextSwitches)/float64(maxSw)),
+				fmt.Sprintf("%.2f", r.Utilization))
+		}
+		e.Table(t)
+		return nil
+	}
+}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"time"
 
 	"hyperloop/internal/check"
 	"hyperloop/internal/cluster"
@@ -301,9 +303,68 @@ func RunPartitionedScaling(p PartitionedScalingParams) PartitionedScalingResult 
 // MergedRegistry merges the per-group registries in group order into one
 // dump — byte-identical at any worker count.
 func (r PartitionedScalingResult) MergedRegistry() *metrics.Registry {
-	merged := metrics.NewRegistry()
-	for _, reg := range r.Regs {
-		merged.Merge(reg)
+	return mergeRegistries(r.Regs)
+}
+
+// summary is the line two runs of one cell must agree on byte for byte.
+func (r PartitionedScalingResult) summary() string {
+	return fmt.Sprintf("acked=%d cross=%d elapsed=%v lat=%v maxShardP99=%v",
+		r.Acked, r.CrossAcked, r.Elapsed, r.Lat, r.MaxShardP99)
+}
+
+// pscalingScenario runs the 16-shard partitioned-engine cell across worker
+// counts (1, 2, 4, 8, or 1 vs -engine-workers). Simulated results must be
+// identical at every count; only the wall clock may change, and the wall-ms
+// column plus the recorded speedup are the multi-core payoff measurement. A
+// requested dump adds one instrumented run at -engine-workers.
+func pscalingScenario(e *Env) error {
+	ops := shardOps(e)
+	workerCounts := []int{1, 2, 4, 8}
+	if e.EngineWorkers > 0 {
+		workerCounts = []int{1, e.EngineWorkers}
 	}
-	return merged
+	e.Printf("=== Partitioned scaling: 16 shards / 4 groups, %d ops/shard, lookahead = inter-group min latency ===\n", ops)
+	t := stats.NewTable("workers", "acked", "cross", "elapsed", "kops/s", "avg", "p99", "wall-ms", "vs-w1")
+	cell := func(w int, withMetrics bool) (PartitionedScalingResult, error) {
+		r := RunPartitionedScaling(PartitionedScalingParams{
+			Shards: 16, Workers: w, Seed: e.Seed, OpsPerShard: ops, Metrics: withMetrics,
+		})
+		if !r.Skew.Pass() {
+			return r, fmt.Errorf("workers=%d: %w", w, r.Skew.Err)
+		}
+		return r, nil
+	}
+	var refSum string
+	var refWall float64
+	for i, w := range workerCounts {
+		wall := time.Now()
+		r, err := cell(w, false)
+		if err != nil {
+			return err
+		}
+		wallMs := float64(time.Since(wall).Microseconds()) / 1e3
+		speedup := 1.0
+		if i == 0 {
+			refSum, refWall = r.summary(), wallMs
+		} else {
+			if r.summary() != refSum {
+				return fmt.Errorf("workers=%d diverged from serial:\n  w1: %s\n  w%d: %s", w, refSum, w, r.summary())
+			}
+			speedup = refWall / wallMs
+		}
+		t.AddRow(fmt.Sprint(w), fmt.Sprint(r.Acked), fmt.Sprint(r.CrossAcked),
+			fmt.Sprint(r.Elapsed), fmt.Sprintf("%.1f", r.TputKops),
+			us(r.Lat.Mean), us(r.Lat.P99),
+			fmt.Sprintf("%.1f", wallMs), fmt.Sprintf("%.2fx", speedup))
+	}
+	e.Table(t)
+	e.Printf("simulated results identical at all worker counts (%d cores available)\n", runtime.NumCPU())
+	if e.Metrics != nil {
+		r, err := cell(e.EngineWorkers, true)
+		if err != nil {
+			return err
+		}
+		e.Merge(r.MergedRegistry())
+	}
+	return nil
 }

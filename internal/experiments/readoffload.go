@@ -7,6 +7,7 @@ import (
 	"hyperloop/internal/check"
 	"hyperloop/internal/core"
 	"hyperloop/internal/kvstore"
+	"hyperloop/internal/metrics"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/stats"
@@ -380,6 +381,21 @@ func (c ReadOffloadCell) Speedup() float64 {
 		return 0
 	}
 	return c.Spread.ReadTputKops / c.Tail.ReadTputKops
+}
+
+// Pass reports whether both runs kept the conservative-lookahead invariant.
+func (c ReadOffloadCell) Pass() bool { return c.Tail.Skew.Pass() && c.Spread.Skew.Pass() }
+
+func (c ReadOffloadCell) registry() *metrics.Registry { return nil }
+func (c ReadOffloadCell) detail(*Env)                 {}
+
+func (c ReadOffloadCell) row() []string {
+	return []string{fmt.Sprint(c.Replicas),
+		fmt.Sprintf("%.1f", c.Tail.ReadTputKops),
+		fmt.Sprintf("%.1f", c.Spread.ReadTputKops),
+		fmt.Sprintf("%.2fx", c.Speedup()),
+		fmt.Sprintf("%d/%d", c.Spread.Clean, c.Spread.Dirty),
+		fmt.Sprint(c.Tail.ReadLat.P50), fmt.Sprint(c.Spread.ReadLat.P50)}
 }
 
 // ReadOffloadSweep runs the chain-length sweep for one workload: each chain

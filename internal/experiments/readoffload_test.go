@@ -72,7 +72,7 @@ func TestReadOffloadWorkloadD(t *testing.T) {
 }
 
 // TestReadOffloadDeterministicAcrossWorkers pins the cell's bit-identity at
-// any engine worker count — the hlrestore CI gate in miniature.
+// any engine worker count — the hl restore CI gate in miniature.
 func TestReadOffloadDeterministicAcrossWorkers(t *testing.T) {
 	p := ReadOffloadParams{Workload: "B", Replicas: 3, Policy: "spread", Seed: 7}
 	p.Workers = 1

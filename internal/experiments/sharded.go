@@ -239,16 +239,14 @@ func RunShardScaling(p ShardScalingParams) ShardScalingResult {
 	return res
 }
 
-// ShardScaling sweeps the scaling curve over counts (default
-// ShardScalingCounts), fanned over the worker pool; results come back in
-// input order.
-func ShardScaling(counts []int, seed int64, opsPerShard int) []ShardScalingResult {
-	if counts == nil {
-		counts = ShardScalingCounts
-	}
+// ShardScaling sweeps the scaling curve over ShardScalingCounts, fanned over
+// the worker pool; results come back in input order. withMetrics attaches a
+// registry to every cell.
+func ShardScaling(seed int64, opsPerShard int, withMetrics bool) []ShardScalingResult {
+	counts := ShardScalingCounts
 	out, _ := RunParallel(Parallelism(), len(counts), func(i int) (ShardScalingResult, error) {
 		return RunShardScaling(ShardScalingParams{
-			Shards: counts[i], Seed: seed, OpsPerShard: opsPerShard,
+			Shards: counts[i], Seed: seed, OpsPerShard: opsPerShard, Metrics: withMetrics,
 		}), nil
 	})
 	return out
@@ -287,21 +285,13 @@ type MigrationVerdict struct {
 	Params    MigrationParams
 	Spec      faults.MigrationSpec
 	Timeline  []shard.Event
-	Faults    []faults.Event
 	Acked     int // puts whose ack arrived
 	Errored   int // puts that failed (indeterminate)
 	Migrated  bool
 	MigErr    error
 	StaleSupp uint64
-	Checks    check.Report
-	// Metrics is the scenario's registry (always collected; observation-only,
-	// so the verdict is identical with or without a consumer). hlchaos
-	// -metrics-json merges the matrix's registries in input order.
-	Metrics *metrics.Registry
+	Judged
 }
-
-// Pass reports whether every invariant check passed.
-func (v MigrationVerdict) Pass() bool { return v.Checks.AllPass() }
 
 // RunMigrationScenario preloads a sharded plane, starts a live migration
 // of shard 0 onto spare hosts, kills a source or destination replica
@@ -497,11 +487,11 @@ func RunMigrationScenario(p MigrationParams) MigrationVerdict {
 	reg.Sample(eng.Now())
 	v := MigrationVerdict{
 		Params: p, Spec: spec,
-		Timeline: pl.Timeline(), Faults: fp.Timeline(),
-		Acked: acked, Errored: errored,
+		Timeline: pl.Timeline(),
+		Acked:    acked, Errored: errored,
 		Migrated: migDone && migErr == nil, MigErr: migErr,
 		StaleSupp: pl.StaleSuppressed(),
-		Metrics:   reg,
+		Judged:    Judged{Metrics: reg},
 	}
 
 	// Assemble checker inputs from the final plane state.
@@ -592,12 +582,74 @@ func quiesceErr(quiesced bool, drainErr error, migDone bool) error {
 	return nil
 }
 
-// MigrationMatrix runs n migration-inflight scenarios seeded baseSeed..+n-1
-// over the worker pool; verdicts come back in input order, bit-identical at
-// any parallelism.
-func MigrationMatrix(baseSeed int64, n int) []MigrationVerdict {
-	out, _ := RunParallel(Parallelism(), n, func(i int) (MigrationVerdict, error) {
-		return RunMigrationScenario(MigrationParams{Seed: baseSeed + int64(i)}), nil
-	})
-	return out
+// migrationAt runs the migration-inflight scenario planned for seed.
+func migrationAt(seed int64) MigrationVerdict {
+	return RunMigrationScenario(MigrationParams{Seed: seed})
+}
+
+func (v MigrationVerdict) row() []string {
+	kill, faultAfter := fmt.Sprintf("source[%d]", v.Spec.VictimIdx), v.Spec.FaultAfter
+	if v.Spec.Retier {
+		kill, faultAfter = "retier-dest", v.Spec.RetierAfter
+	} else if v.Spec.KillDest {
+		kill = fmt.Sprintf("dest[%d]", v.Spec.VictimIdx)
+	}
+	return []string{fmt.Sprint(v.Params.Seed), kill, fmt.Sprint(v.Spec.MigrateAt),
+		fmt.Sprint(faultAfter), fmt.Sprintf("%d/%d", v.Acked, v.Errored),
+		fmt.Sprint(v.Migrated), v.Checks.Summary()}
+}
+
+func (v MigrationVerdict) detail(e *Env) {
+	lines := make([]string, len(v.Timeline))
+	for i, ev := range v.Timeline {
+		lines[i] = fmt.Sprintf("%v  %s", ev.At, ev.What)
+	}
+	printDetail(e, v.Spec, lines, v.Checks)
+}
+
+// migrationMatrix runs and renders n migration-inflight scenarios seeded
+// e.Seed..+n-1 — the one migrate table, shared by `hl migrate` and the
+// migration-inflight class of `hl chaos`.
+func migrationMatrix(e *Env, n int) {
+	printVerdicts(e, fmt.Sprintf("Migration-inflight: %d scenarios (base seed %d)", n, e.Seed),
+		seedMatrix(e.Seed, n, migrationAt), "seed", "kill", "migrate@", "fault+", "puts ok/err", "migrated", "checks")
+}
+
+// migrateScenario runs the migration-inflight chaos matrix on its own.
+func migrateScenario(e *Env) error {
+	n := e.Int("seeds")
+	if e.Quick && n > 2 {
+		n = 2
+	}
+	migrationMatrix(e, n)
+	printSummary(e, "scenarios")
+	return nil
+}
+
+// shardOps is the per-shard op count of the scaling scenarios.
+func shardOps(e *Env) int {
+	if e.Quick {
+		return 150
+	}
+	return 400
+}
+
+// scalingScenario prints the shard-count scaling curve on the fixed host
+// pool. A requested dump re-runs the sweep with registries attached and
+// merges them in sweep order.
+func scalingScenario(e *Env) error {
+	ops := shardOps(e)
+	e.Printf("=== Shard scaling: aggregate gWRITE throughput, 16-host pool, %d ops/shard ===\n", ops)
+	t := stats.NewTable("shards", "acked", "elapsed", "kops/s", "avg", "p99", "max-shard-p99")
+	for _, r := range ShardScaling(e.Seed, ops, false) {
+		t.AddRow(fmt.Sprint(r.Shards), fmt.Sprint(r.Acked), fmt.Sprint(r.Elapsed),
+			fmt.Sprintf("%.1f", r.TputKops), us(r.Lat.Mean), us(r.Lat.P99), us(r.MaxShardP99))
+	}
+	e.Table(t)
+	if e.Metrics != nil {
+		for _, r := range ShardScaling(e.Seed, ops, true) {
+			e.Merge(r.Reg)
+		}
+	}
+	return nil
 }

@@ -13,7 +13,7 @@ import (
 const scalingOps = 200
 
 func TestShardScalingCurve(t *testing.T) {
-	res := ShardScaling(nil, 42, scalingOps)
+	res := ShardScaling(42, scalingOps, false)
 	if len(res) != len(ShardScalingCounts) {
 		t.Fatalf("got %d points, want %d", len(res), len(ShardScalingCounts))
 	}
@@ -84,7 +84,7 @@ func migrationFingerprint(v MigrationVerdict) string {
 }
 
 func TestMigrationChaosInvariants(t *testing.T) {
-	verdicts := MigrationMatrix(1, 6)
+	verdicts := seedMatrix(1, 6, migrationAt)
 	aborted, completed := 0, 0
 	for _, v := range verdicts {
 		if v.Migrated {
@@ -170,5 +170,18 @@ func TestMigrationMatrixDeterministic(t *testing.T) {
 			t.Fatalf("verdict %d diverges across worker counts:\nserial:\n%s\npooled:\n%s",
 				i, serial[i], pooled[i])
 		}
+	}
+}
+
+// Seed 2 plans a mid-copy re-tier, and the migrate table must say so with the
+// re-tier delay, not label the row a source kill with the source-kill delay.
+func TestMigrateRowNamesRetier(t *testing.T) {
+	spec := faults.PlanMigration(2, msReplicas, msBulkWindow)
+	if !spec.Retier {
+		t.Fatalf("seed 2 no longer plans a re-tier: %v", spec)
+	}
+	row := MigrationVerdict{Params: MigrationParams{Seed: 2}, Spec: spec}.row()
+	if row[1] != "retier-dest" || row[3] != fmt.Sprint(spec.RetierAfter) {
+		t.Fatalf("seed-2 row = %q, want kill=retier-dest fault+=%v", row, spec.RetierAfter)
 	}
 }

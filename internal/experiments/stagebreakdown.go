@@ -17,16 +17,15 @@ import (
 // host-cpu stage on every hop (the handler waiting behind co-located
 // tenants), which is the paper's whole point in one row.
 
-// StageBreakdownResult is one system's decomposed latency, summed over Ops.
-type StageBreakdownResult struct {
-	System   System
+// StageSums is a decomposed latency summed over Ops measured operations.
+type StageSums struct {
 	Ops      int
 	EndToEnd sim.Duration // total across ops; Stages sum to this exactly
 	Stages   []span.Stage // first-encounter order, deterministic
 }
 
 // Stage returns the summed duration of the named stage (0 if absent).
-func (r StageBreakdownResult) Stage(name string) sim.Duration {
+func (r StageSums) Stage(name string) sim.Duration {
 	for _, s := range r.Stages {
 		if s.Name == name {
 			return s.Dur
@@ -36,11 +35,40 @@ func (r StageBreakdownResult) Stage(name string) sim.Duration {
 }
 
 // Share returns the named stage's fraction of end-to-end time.
-func (r StageBreakdownResult) Share(name string) float64 {
+func (r StageSums) Share(name string) float64 {
 	if r.EndToEnd <= 0 {
 		return 0
 	}
 	return float64(r.Stage(name)) / float64(r.EndToEnd)
+}
+
+// add folds one op's window [start, end] into the sums.
+func (r *StageSums) add(events []span.RoleEvent, start, end sim.Time, classify span.Classifier) {
+	r.EndToEnd += end.Sub(start)
+	r.Stages = span.MergeStages(r.Stages, span.Decompose(events, start, end, classify))
+}
+
+// perOp is the mean of a summed duration over the measured ops.
+func (r StageSums) perOp(d sim.Duration) sim.Duration {
+	if r.Ops <= 0 {
+		return d
+	}
+	return d / sim.Duration(r.Ops)
+}
+
+// stageCells renders one "mean (share%)" cell per StageNames column.
+func (r StageSums) stageCells() []string {
+	cells := make([]string, len(StageNames))
+	for i, name := range StageNames {
+		cells[i] = fmt.Sprintf("%v (%.1f%%)", r.perOp(r.Stage(name)), 100*r.Share(name))
+	}
+	return cells
+}
+
+// StageBreakdownResult is one system's decomposed durable-gWRITE latency.
+type StageBreakdownResult struct {
+	System System
+	StageSums
 }
 
 // StageNames is the fixed column order of the breakdown table. Stages a
@@ -104,24 +132,17 @@ func RunStageBreakdown(p MicroParams) StageBreakdownResult {
 
 	bridge := span.NewBridge(0)
 	for i, n := range rig.cl.Nodes {
-		role := fmt.Sprintf("replica%d", i-1)
-		if i == 0 {
-			role = "client"
-		}
-		n.NIC.SetTracer(bridge.Tracer(role))
+		n.NIC.SetTracer(bridge.Tracer(nodeRole(i)))
 	}
 
-	res := StageBreakdownResult{System: p.System, Ops: p.Ops}
+	res := StageBreakdownResult{System: p.System, StageSums: StageSums{Ops: p.Ops}}
 	var start sim.Time
 	_, err := rig.runOps(p.Ops, 1, 120*sim.Second, func(i int, done func(error)) {
 		bridge.Reset()
 		start = rig.eng.Now()
 		rig.rep.Write(0, p.MsgSize, true, errOnly(func(opErr error) {
 			if opErr == nil {
-				end := rig.eng.Now()
-				res.EndToEnd += end.Sub(start)
-				res.Stages = span.MergeStages(res.Stages,
-					span.Decompose(bridge.Events(), start, end, classifyStage))
+				res.add(bridge.Events(), start, rig.eng.Now(), classifyStage)
 			}
 			done(opErr)
 		}))
@@ -148,20 +169,17 @@ func StageBreakdown(seed int64, ops int) []StageBreakdownResult {
 // StageBreakdownTable renders results as mean-per-op stage durations with
 // end-to-end shares.
 func StageBreakdownTable(rows []StageBreakdownResult) *stats.Table {
-	header := []string{"system", "end-to-end"}
-	header = append(header, StageNames...)
-	tb := stats.NewTable(header...)
+	tb := stats.NewTable(append([]string{"system", "end-to-end"}, StageNames...)...)
 	for _, r := range rows {
-		ops := r.Ops
-		if ops <= 0 {
-			ops = 1
-		}
-		cells := []string{r.System.String(), fmt.Sprintf("%v", r.EndToEnd/sim.Duration(ops))}
-		for _, name := range StageNames {
-			cells = append(cells, fmt.Sprintf("%v (%.1f%%)",
-				r.Stage(name)/sim.Duration(ops), 100*r.Share(name)))
-		}
-		tb.AddRow(cells...)
+		tb.AddRow(append([]string{r.System.String(), fmt.Sprint(r.perOp(r.EndToEnd))}, r.stageCells()...)...)
 	}
 	return tb
+}
+
+// stagesScenario renders the durable-gWRITE latency decomposition (mean
+// per-op stage durations; the stages tile the end-to-end window exactly).
+func stagesScenario(e *Env) error {
+	e.Println("=== Stage breakdown: durable gWRITE, group=3, 10:1 co-location ===")
+	e.Table(StageBreakdownTable(StageBreakdown(e.Seed, microOps(e)/4)))
+	return nil
 }

@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 
 	"hyperloop/internal/check"
 	"hyperloop/internal/load"
-	"hyperloop/internal/metrics"
 	"hyperloop/internal/qos"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/shard"
 	"hyperloop/internal/sim"
+	"hyperloop/internal/stats"
 )
 
 // Tenant-isolation experiment: the elastic QoS plane end to end. A victim
@@ -88,13 +89,8 @@ type TenantIsolationVerdict struct {
 	Baseline     load.Result
 	QoSOn        load.Result
 	Uncontrolled load.Result
-	Checks       check.Report
-	// Metrics is the QoS run's merged registry (group order).
-	Metrics *metrics.Registry
+	Judged       // Metrics is the QoS run's merged registry (group order)
 }
-
-// Pass reports whether every check passed.
-func (v TenantIsolationVerdict) Pass() bool { return v.Checks.AllPass() }
 
 // isoConfig builds one run. aggMult scales the aggressor's offered load as
 // a multiple of its contract; the victim's absolute rate is identical in
@@ -145,14 +141,10 @@ func isoConfig(p TenantIsolationParams, aggMult int, qosOn bool) load.Config {
 	return cfg
 }
 
-// TenantIsolationMatrix runs n isolation scenarios seeded baseSeed..+n-1
-// over the worker pool; verdicts come back in input order, bit-identical at
-// any parallelism.
-func TenantIsolationMatrix(baseSeed int64, n int) []TenantIsolationVerdict {
-	out, _ := RunParallel(Parallelism(), n, func(i int) (TenantIsolationVerdict, error) {
-		return RunTenantIsolation(TenantIsolationParams{Seed: baseSeed + int64(i)}), nil
-	})
-	return out
+// tenantIsolationAt runs the isolation scenario at seed with the default
+// horizon — the QoS-on arm of `hl chaos`'s tenant-burst gate.
+func tenantIsolationAt(seed int64) TenantIsolationVerdict {
+	return RunTenantIsolation(TenantIsolationParams{Seed: seed})
 }
 
 // RunTenantIsolation runs and judges one tenant-isolation scenario.
@@ -262,12 +254,7 @@ func RunTenantIsolation(p TenantIsolationParams) TenantIsolationVerdict {
 	// (c) Spend halts exactly at the per-group cap: 2 steps per group, the
 	// escrow drained, and one cap-exhausted degrade per group.
 	ledger := check.Result{Name: "budget-cap-halts"}
-	var aggLedger qos.TenantState
-	for _, st := range v.QoSOn.QoSTenants {
-		if st.Name == "aggressor" {
-			aggLedger = st
-		}
-	}
+	aggLedger := v.aggressorLedger()
 	capEvents := 0
 	for _, e := range v.QoSOn.QoSEvents {
 		if e.Name == "aggressor" && e.Kind == qos.CapExhausted {
@@ -301,4 +288,95 @@ func RunTenantIsolation(p TenantIsolationParams) TenantIsolationVerdict {
 	}
 	v.Checks = append(v.Checks, degrade)
 	return v
+}
+
+// aggressorLedger is the aggressor's controller ledger merged across groups.
+func (v TenantIsolationVerdict) aggressorLedger() qos.TenantState {
+	for _, st := range v.QoSOn.QoSTenants {
+		if st.Name == "aggressor" {
+			return st
+		}
+	}
+	return qos.TenantState{}
+}
+
+func (v TenantIsolationVerdict) row() []string {
+	agg, ledger := tenant(v.QoSOn, "aggressor"), v.aggressorLedger()
+	return []string{fmt.Sprint(v.Params.Seed),
+		victimP99s(v.Baseline, v.QoSOn, v.Uncontrolled),
+		fmt.Sprintf("%d/%d", agg.Acked, agg.Arrivals),
+		fmt.Sprintf("%d/%.0f", ledger.Steps, ledger.Spent), v.Checks.Summary()}
+}
+
+func (v TenantIsolationVerdict) detail(e *Env) {
+	printDetail[string](e, fmt.Sprintf("tenant-isolation seed=%d", v.Params.Seed), nil, v.Checks)
+	printQoSLog(e, v.QoSOn.QoSEvents)
+}
+
+// printQoSLog prints every controller decision, one per line.
+func printQoSLog(e *Env, evs []qos.Event) {
+	for _, ev := range evs {
+		e.Printf("    %v %s %v: %s\n", ev.At, ev.Name, ev.Kind, ev.Detail)
+	}
+}
+
+// printQoSEvents prints the decision log: a count per kind, plus every entry
+// under -v (the funding story is short enough to read whole).
+func printQoSEvents(e *Env, evs []qos.Event) {
+	if len(evs) == 0 {
+		return
+	}
+	counts := map[qos.EventKind]int{}
+	var order []qos.EventKind
+	for _, ev := range evs {
+		if counts[ev.Kind] == 0 {
+			order = append(order, ev.Kind)
+		}
+		counts[ev.Kind]++
+	}
+	e.Printf("decisions:")
+	for _, k := range order {
+		e.Printf(" %v=%d", k, counts[k])
+	}
+	e.Println()
+	if e.Verbose {
+		printQoSLog(e, evs)
+	}
+}
+
+// durationFlag registers the arrival-horizon override the QoS scenarios
+// share; horizon reads it back.
+func durationFlag(fs *flag.FlagSet) {
+	fs.Int("duration-ms", 0, "arrival horizon per run in virtual milliseconds (0 = scenario default)")
+}
+
+func horizon(e *Env) sim.Duration { return sim.Duration(e.Int("duration-ms")) * sim.Millisecond }
+
+// qosScenario runs and reports the headline tenant-isolation scenario: the
+// checks table is the verdict, then the per-tenant outcomes, the controller
+// ledgers and the decision log.
+func qosScenario(e *Env) error {
+	v := RunTenantIsolation(TenantIsolationParams{
+		Seed: e.Seed, Workers: e.EngineWorkers, Duration: horizon(e),
+	})
+	e.Merge(v.Metrics)
+	e.Printf("=== Tenant isolation: %dx burst over tiered hosts, seed %d, %v horizon ===\n",
+		isoBurstMult, e.Seed, v.QoSOn.Elapsed)
+	e.Checks(v.Checks)
+
+	e.Println("--- per-tenant (QoS on, 10x burst) ---")
+	e.Table(TenantTable(v.QoSOn, 0))
+
+	lt := stats.NewTable("tenant", "steps", "spent", "escrow-left", "funded-rate", "degraded")
+	for _, st := range v.QoSOn.QoSTenants {
+		lt.AddRow(st.Name, fmt.Sprint(st.Steps), fmt.Sprintf("%.1f", st.Spent),
+			fmt.Sprintf("%.1f", st.EscrowLeft), fmt.Sprintf("%.0f/s", st.FundedRate),
+			fmt.Sprint(st.Degraded))
+	}
+	e.Println("--- controller ledgers (merged across groups) ---")
+	e.Table(lt)
+
+	printQoSEvents(e, v.QoSOn.QoSEvents)
+	printSummary(e, "checks")
+	return nil
 }

@@ -11,7 +11,7 @@ import (
 // capacity, spend capped, counterfactual degraded. Runs through the matrix
 // entry point the chaos gate uses, at width 1.
 func TestTenantIsolation(t *testing.T) {
-	vs := TenantIsolationMatrix(1, 1)
+	vs := seedMatrix(1, 1, tenantIsolationAt)
 	if len(vs) != 1 {
 		t.Fatalf("matrix width %d, want 1", len(vs))
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 
 	"hyperloop/internal/load"
@@ -100,8 +101,7 @@ func sweepName(i int) string {
 
 // TenantTable renders a run's per-class outcomes — admitted, shed (throttled
 // plus queue-full), p99, leftover burst credits — capped at maxRows classes
-// (0 = all) with an aggregate tail row. hlqos and hlload share it for their
-// -tenants output.
+// (0 = all) with an aggregate tail row.
 func TenantTable(r load.Result, maxRows int) *stats.Table {
 	t := stats.NewTable("tenant", "arrivals", "admitted", "shed", "acked", "p99", "credits")
 	shown := len(r.Tenants)
@@ -153,4 +153,41 @@ func RunTenantSweep(p TenantSweepParams) TenantSweepResult {
 	}
 	r.Distinct = p.Tenants - r.Overflowed
 	return r
+}
+
+func tenantsFlags(fs *flag.FlagSet) {
+	fs.Int("tenants", 8, "tenant classes sharing the plane")
+	durationFlag(fs)
+}
+
+// tenantsScenario runs and reports the tenant-cardinality sweep: N equal
+// classes with QoS on. Past metrics.MaxLabels the label space collapses;
+// admission accounting must stay exact and the controller must refuse to
+// spend on every collapsed class.
+func tenantsScenario(e *Env) error {
+	r := RunTenantSweep(TenantSweepParams{
+		Seed: e.Seed, Workers: e.EngineWorkers, Tenants: e.Int("tenants"), Duration: horizon(e),
+	})
+	if e.Metrics != nil {
+		e.Merge(r.Run.MergedRegistry())
+	}
+	e.Printf("=== Tenant sweep: %d classes, seed %d, %v horizon ===\n",
+		r.Params.Tenants, e.Seed, r.Run.Elapsed)
+	e.Table(TenantTable(r.Run, 16))
+	e.Printf("label cardinality: %d distinct, %d collapsed, %d controller-skipped\n",
+		r.Distinct, r.Overflowed, r.Skipped)
+	printQoSEvents(e, r.Run.QoSEvents)
+
+	if err := r.Run.CheckAccounting(); err != nil {
+		e.Printf("accounting FAILED: %v\n", err)
+		e.failed++
+	}
+	if r.Skipped != r.Overflowed {
+		e.Printf("conservatism FAILED: %d skipped vs %d collapsed\n", r.Skipped, r.Overflowed)
+		e.failed++
+	}
+	if e.failed == 0 {
+		e.Println("accounting exact, controller conservative on every collapsed class")
+	}
+	return nil
 }

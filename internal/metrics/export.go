@@ -178,7 +178,7 @@ func (r *Registry) ExportJSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// ParseJSON decodes a dump written by ExportJSON (used by cmd/hlstats).
+// ParseJSON decodes a dump written by ExportJSON (used by cmd/hl stats).
 func ParseJSON(data []byte) (JSONDump, error) {
 	var d JSONDump
 	err := json.Unmarshal(data, &d)

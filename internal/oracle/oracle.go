@@ -24,7 +24,7 @@
 //     conservation plus a windowed-dispersion burstiness contrast for the
 //     b-model cascade.
 //
-// The suite runs in `go test` (seeds 1-5) and in CI; cmd/hlverify exposes
+// The suite runs in `go test` (seeds 1-5) and in CI; cmd/hl verify exposes
 // it with -seed/-n flags for long soak runs.
 package oracle
 

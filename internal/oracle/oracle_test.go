@@ -3,7 +3,7 @@ package oracle
 import "testing"
 
 // TestConformanceSeeds runs the full suite at seeds 1-5 with a CI-sized
-// sample budget. cmd/hlverify runs the same suite with larger -n.
+// sample budget. cmd/hl verify runs the same suite with larger -n.
 func TestConformanceSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed

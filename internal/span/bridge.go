@@ -6,6 +6,9 @@
 package span
 
 import (
+	"fmt"
+	"strings"
+
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
@@ -127,4 +130,22 @@ func MergeStages(dst, src []Stage) []Stage {
 		}
 	}
 	return dst
+}
+
+// Render formats events as an aligned timeline relative to base, one row per
+// event under the role it was collected with — so a NIC re-attached under a
+// new role can never render under the old one.
+func Render(events []RoleEvent, base sim.Time) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %-9s %-6s %-10s %s\n", "t(+ns)", "node", "kind", "op", "detail")
+	b.WriteString(strings.Repeat("-", 60))
+	b.WriteByte('\n')
+	for _, e := range events {
+		op := ""
+		if e.Op != 0 {
+			op = e.Op.String()
+		}
+		fmt.Fprintf(&b, "%-10d %-9s %-6s %-10s %s\n", e.At.Sub(base), e.Role, e.Kind, op, e.Info())
+	}
+	return b.String()
 }

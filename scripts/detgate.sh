@@ -1,39 +1,33 @@
 #!/usr/bin/env bash
-# Determinism gate: every row of the table runs once with 1 worker and once
-# with 4, and what it produces must be byte-identical. A row is
+# Determinism gate: every pinned invocation that names worker flags runs once
+# with 1 worker and once with 4, and what it produces must be byte-identical.
+# The rows come from the scenario registry (`hl list -pins`):
 #
-#   name | binary and fixed flags | worker flags (N = worker count) | compare
+#   name | fixed flags | worker flags (N = worker count) | compare | heavy
 #
 # where compare is "json" (the -metrics-json dump), "out" (stdout) or "both".
-# To gate a new surface, add a row.
+# To gate a new surface, give its registry entry a pin with Workers set.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-gates=(
-    "micro         | hlmicro -quick               | -parallel N                    | json"
-    "pscaling      | hlshard -exp pscaling -quick | -engine-workers N              | json"
-    "serving       | hlload                       | -engine-workers N              | json"
-    "serving-naive | hlload -quick                | -engine-workers N              | out"
-    "qos           | hlqos                        | -engine-workers N              | json"
-    "restore       | hlrestore                    | -engine-workers N -parallel N  | both"
-)
-
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/bin/" ./cmd/...
+go build -o "$tmp/hl" ./cmd/hl
 
-for gate in "${gates[@]}"; do
-    IFS='|' read -r name cmd wflags compare <<<"$gate"
-    name=${name// /} compare=${compare// /}
+while IFS='|' read -r name args wflags compare _; do
+    read -ra cmd <<<"$name $args"
+    read -ra wflags <<<"$wflags"
+    read -r compare <<<"$compare"
+    ((${#wflags[@]})) || continue # not determinism-gated
     for n in 1 4; do
-        read -ra argv <<<"$cmd ${wflags//N/$n}"
+        argv=("${cmd[@]}" "${wflags[@]//N/$n}")
         # The dump always goes to the same path so stdout cannot differ by a
         # file name; it is moved aside after the run.
-        [[ $compare == out ]] || argv+=(-metrics-json "$tmp/$name.json")
-        "$tmp/bin/${argv[0]}" "${argv[@]:1}" >"$tmp/$name.w$n.out"
-        [[ $compare == out ]] || mv "$tmp/$name.json" "$tmp/$name.w$n.json"
+        [[ $compare == out ]] || argv+=(-metrics-json "$tmp/dump.json")
+        "$tmp/hl" "${argv[@]}" >"$tmp/w$n.out"
+        [[ $compare == out ]] || mv "$tmp/dump.json" "$tmp/w$n.json"
     done
-    [[ $compare == out ]] || cmp "$tmp/$name.w1.json" "$tmp/$name.w4.json"
-    [[ $compare == json ]] || cmp "$tmp/$name.w1.out" "$tmp/$name.w4.out"
-    echo "ok  $name: workers 1 == workers 4 ($compare)"
-done
+    [[ $compare == out ]] || cmp "$tmp/w1.json" "$tmp/w4.json"
+    [[ $compare == json ]] || cmp "$tmp/w1.out" "$tmp/w4.out"
+    echo "ok  hl ${cmd[*]}: workers 1 == workers 4 ($compare)"
+done < <("$tmp/hl" list -pins)
