@@ -440,10 +440,11 @@ func BenchmarkKVPutHot(b *testing.B)     { benchHotOp(b, kvPutHotOp) }
 func BenchmarkTxnCommitHot(b *testing.B) { benchHotOp(b, txnCommitHotOp) }
 
 // TestStorageAllocCeilings pins the host cost of the layers above a group:
-// with pooled op records, pre-bound completions and records encoded straight
-// into the log ring, what an operation still allocates is what it hands to
-// its caller — the memtable's value copy, a transaction and its write
-// buffers — not per-step closures or staging buffers.
+// with pooled op records, pre-bound completions, records encoded straight
+// into the log ring and overwrites copied into the memtable's existing value
+// buffer, what an operation still allocates is what it hands to its caller —
+// the waiter list of an explicit Commit, a transaction and its write
+// buffers — not per-step closures, staging buffers or value copies.
 func TestStorageAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -451,7 +452,7 @@ func TestStorageAllocCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"wal append+execute+advance", walHotOp, 1},
-		{"kvstore put through ack and commit", kvPutHotOp, 3},
+		{"kvstore put through ack and commit", kvPutHotOp, 1},
 		{"two-object txn commit, host-only locks", txnCommitHotOp, 6},
 	} {
 		op, closeRig := c.rig(t)

@@ -264,7 +264,7 @@ func (db *DB) Put(key string, value []byte, done func(error)) error {
 	encodeSlot(db.log.Place(ref.off, size), key, value, ref.cap, flagValid)
 	db.log.Publish(!db.cfg.Volatile, done)
 	db.puts++
-	db.mem.Put(key, clone(value))
+	db.mem.PutCopy(key, value)
 	return nil
 }
 
@@ -435,7 +435,8 @@ func (db *DB) onAppendAck(err error) {
 	}
 }
 
-// Get reads a key from the head's memtable.
+// Get reads a key from the head's memtable. The value aliases the
+// memtable's buffer: it is valid until the next write to key.
 func (db *DB) Get(key string) ([]byte, bool) {
 	db.gets++
 	return db.mem.Get(key)
@@ -569,7 +570,8 @@ func (db *DB) Delete(key string, done func(error)) error {
 	return nil
 }
 
-// Scan returns up to limit pairs with key >= start.
+// Scan returns up to limit pairs with key >= start. Like Get's, each value
+// is valid until the next write to its key.
 func (db *DB) Scan(start string, limit int) []memtable.KV {
 	db.scans++
 	return db.mem.Scan(start, limit)

@@ -108,6 +108,19 @@ func TestUpdateInPlace(t *testing.T) {
 	}
 }
 
+// An empty put reads back as an empty, non-nil value — present, not absent.
+func TestEmptyValueReadsBackNonNil(t *testing.T) {
+	db, _ := localDB(t, Config{})
+	db.Put("e", nil, nil)
+	db.Put("f", []byte("full"), nil)
+	db.Put("f", []byte{}, nil)
+	for _, k := range []string{"e", "f"} {
+		if v, ok := db.Get(k); !ok || v == nil || len(v) != 0 {
+			t.Fatalf("Get(%q) = %v (nil %v), %v", k, v, v == nil, ok)
+		}
+	}
+}
+
 func TestLargeValueGrowsSlot(t *testing.T) {
 	db, _ := localDB(t, Config{})
 	big := bytes.Repeat([]byte("x"), 4000)

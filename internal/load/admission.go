@@ -3,6 +3,7 @@ package load
 import (
 	"errors"
 
+	"hyperloop/internal/fifo"
 	"hyperloop/internal/qos"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/wal"
@@ -99,12 +100,17 @@ func newBucket(class TenantClass) qos.Bucket {
 	return qos.NewBucket(class.RatePerSec, burst)
 }
 
-// Op is one queued put.
+// Op is one admitted put. Records are pooled per Admission: the *Op handed
+// to onAck is valid only until onAck returns.
 type Op struct {
 	key     string
 	val     []byte
 	class   int
 	arrived sim.Time
+	// done is the op's data-plane completion, bound once when the record is
+	// created and handed to put on every reuse.
+	done     func(error)
+	released bool
 }
 
 // Admission is one group leader's admission controller: per-tenant token
@@ -124,15 +130,18 @@ type Admission struct {
 	onAck func(o *Op, err error)
 
 	buckets  []qos.Bucket
-	queue    []*Op
-	head     int
-	queues   [][]*Op // per-class FIFOs when cfg.PerTenantQueues
-	heads    []int
-	rr       int   // next class the round-robin drain visits
-	retry    []*Op // WAL-bounced ops, drained before the queue
+	queue    fifo.Queue[*Op]
+	queues   []fifo.Queue[*Op] // per-class FIFOs when cfg.PerTenantQueues
+	rr       int               // next class the round-robin drain visits
+	retry    []*Op             // WAL-bounced ops, a stack drained before the queue
 	inflight int
 	armed    bool
 	paused   bool
+
+	free []*Op // released records, reused by Offer
+	// drainStep and resumeStep are the dispatch tick and the end of a
+	// backpressure pause, bound once so scheduling them costs nothing.
+	drainStep, resumeStep func()
 
 	// qs, when set, mirrors per-tenant verdicts into metric series for the
 	// QoS controller to observe. Writes are observe-only: they never
@@ -150,7 +159,7 @@ type Admission struct {
 
 // NewAdmission builds a controller for one group over the given tenant
 // classes. put submits to the data plane; onAck fires once per admitted op
-// at its terminal completion (may be nil).
+// at its terminal completion (may be nil) and must not keep the *Op.
 func NewAdmission(eng *sim.Engine, cfg AdmissionConfig, classes []TenantClass,
 	put func(key string, val []byte, done func(error)), onAck func(o *Op, err error)) *Admission {
 	cfg.fill()
@@ -171,8 +180,12 @@ func NewAdmission(eng *sim.Engine, cfg AdmissionConfig, classes []TenantClass,
 		a.buckets = append(a.buckets, newBucket(cl))
 	}
 	if cfg.PerTenantQueues {
-		a.queues = make([][]*Op, len(classes))
-		a.heads = make([]int, len(classes))
+		a.queues = make([]fifo.Queue[*Op], len(classes))
+	}
+	a.drainStep = a.drain
+	a.resumeStep = func() {
+		a.paused = false
+		a.arm()
 	}
 	return a
 }
@@ -208,11 +221,11 @@ func (a *Admission) queued() int {
 	if a.cfg.PerTenantQueues {
 		n := 0
 		for c := range a.queues {
-			n += len(a.queues[c]) - a.heads[c]
+			n += a.queues[c].Len()
 		}
 		return n
 	}
-	return len(a.queue) - a.head
+	return a.queue.Len()
 }
 
 // Pending returns ops admitted but not yet terminal: queued, bounced, or in
@@ -256,11 +269,12 @@ func (a *Admission) Offer(key string, val []byte, class int) {
 	if a.qs != nil {
 		a.qs.Series(class).Admitted.Inc()
 	}
-	o := &Op{key: key, val: val, class: class, arrived: a.eng.Now()}
+	o := a.newOp()
+	o.key, o.val, o.class, o.arrived = key, val, class, a.eng.Now()
 	if a.cfg.PerTenantQueues {
-		a.queues[class] = append(a.queues[class], o)
+		a.queues[class].Push(o)
 	} else {
-		a.queue = append(a.queue, o)
+		a.queue.Push(o)
 	}
 	if d := a.Pending() - a.inflight; d > a.queuePeak {
 		a.queuePeak = d
@@ -278,13 +292,14 @@ func (a *Admission) arm() {
 		return
 	}
 	a.armed = true
-	a.eng.Schedule(a.cfg.DispatchEvery, a.drain)
+	a.eng.Schedule(a.cfg.DispatchEvery, a.drainStep)
 }
 
-// next pops the op to dispatch: bounced ops first (they were admitted
-// earliest), then the FIFO — or, with per-tenant queues, the next non-empty
-// class in round-robin order, so every class's head-of-line op competes
-// equally for dispatch slots.
+// next pops the op to dispatch: WAL-bounced ops first, newest-bounced first
+// (retry is a stack, and its pop order is part of the modeled schedule),
+// then the FIFO — or, with per-tenant queues, the next non-empty class in
+// round-robin order, so every class's head-of-line op competes equally for
+// dispatch slots.
 func (a *Admission) next() *Op {
 	if n := len(a.retry); n > 0 {
 		o := a.retry[n-1]
@@ -294,30 +309,16 @@ func (a *Admission) next() *Op {
 	if a.cfg.PerTenantQueues {
 		for i := 0; i < len(a.queues); i++ {
 			c := (a.rr + i) % len(a.queues)
-			if a.heads[c] >= len(a.queues[c]) {
+			if a.queues[c].Len() == 0 {
 				continue
 			}
-			o := a.queues[c][a.heads[c]]
-			a.queues[c][a.heads[c]] = nil
-			a.heads[c]++
-			if a.heads[c] > 1024 && a.heads[c]*2 > len(a.queues[c]) {
-				a.queues[c] = append(a.queues[c][:0], a.queues[c][a.heads[c]:]...)
-				a.heads[c] = 0
-			}
 			a.rr = (c + 1) % len(a.queues)
-			return o
+			return a.queues[c].Pop()
 		}
 		return nil
 	}
-	if a.head < len(a.queue) {
-		o := a.queue[a.head]
-		a.queue[a.head] = nil
-		a.head++
-		if a.head > 1024 && a.head*2 > len(a.queue) {
-			a.queue = append(a.queue[:0], a.queue[a.head:]...)
-			a.head = 0
-		}
-		return o
+	if a.queue.Len() > 0 {
+		return a.queue.Pop()
 	}
 	return nil
 }
@@ -335,13 +336,38 @@ func (a *Admission) drain() {
 			break
 		}
 		a.inflight++
-		a.put(o.key, o.val, func(err error) { a.complete(o, err) })
+		a.put(o.key, o.val, o.done)
 	}
 	a.arm()
 }
 
-// complete settles one data-plane completion.
+// newOp takes a record from the free list, or builds one with its
+// completion bound.
+func (a *Admission) newOp() *Op {
+	if n := len(a.free); n > 0 {
+		o := a.free[n-1]
+		a.free = a.free[:n-1]
+		o.released = false
+		return o
+	}
+	o := &Op{}
+	o.done = func(err error) { a.complete(o, err) }
+	return o
+}
+
+// release poisons o and returns it to the free list.
+func (a *Admission) release(o *Op) {
+	*o = Op{done: o.done, released: true}
+	a.free = append(a.free, o)
+}
+
+// complete settles one data-plane completion. The record goes back to the
+// free list once onAck has returned — unless the ring bounced it, in which
+// case the same record waits on retry.
 func (a *Admission) complete(o *Op, err error) {
+	if o.released {
+		panic("load: completion delivered to a released op")
+	}
 	a.inflight--
 	if errors.Is(err, wal.ErrLogFull) {
 		// Ring backpressure: surface it as a counted verdict, re-queue the
@@ -369,6 +395,7 @@ func (a *Admission) complete(o *Op, err error) {
 	if a.onAck != nil {
 		a.onAck(o, err)
 	}
+	a.release(o)
 	a.arm()
 }
 
@@ -377,10 +404,7 @@ func (a *Admission) pause() {
 		return
 	}
 	a.paused = true
-	a.eng.Schedule(a.cfg.RetryDelay, func() {
-		a.paused = false
-		a.arm()
-	})
+	a.eng.Schedule(a.cfg.RetryDelay, a.resumeStep)
 }
 
 // CutOff counts everything still pending as unserved (end-of-run

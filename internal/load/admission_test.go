@@ -1,6 +1,8 @@
 package load
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hyperloop/internal/sim"
@@ -18,11 +20,13 @@ type fakePlane struct {
 	held    []func(error)
 	hold    bool
 	puts    int
+	keys    []string   // dispatched keys, one per put
 	batchAt []sim.Time // dispatch instants, one per put
 }
 
 func (f *fakePlane) put(key string, val []byte, done func(error)) {
 	f.puts++
+	f.keys = append(f.keys, key)
 	f.batchAt = append(f.batchAt, f.eng.Now())
 	if f.bounce > 0 {
 		f.bounce--
@@ -194,4 +198,56 @@ func TestAdmissionDispatchesBatchesAtOneInstant(t *testing.T) {
 	if fp.batchAt[3] == fp.batchAt[4] {
 		t.Fatal("batches 1 and 2 dispatched at the same instant despite DispatchEvery")
 	}
+}
+
+// A WAL-bounced op keeps its record (it is not released on the re-queue
+// path) and bounced ops re-dispatch newest-bounced first: retry is a stack,
+// and that pop order is part of the modeled schedule.
+func TestAdmissionRetriesNewestBouncedFirst(t *testing.T) {
+	eng := sim.NewEngine()
+	fp := &fakePlane{eng: eng, latency: sim.Microsecond, bounce: 3}
+	a := NewAdmission(eng, AdmissionConfig{
+		Enabled: true, QueueDepth: 64, MaxInflight: 3, DispatchBatch: 3,
+	}, nil, fp.put, nil)
+	eng.Schedule(0, func() {
+		for _, k := range []string{"a", "b", "c"} {
+			a.Offer(k, nil, 0)
+		}
+	})
+	eng.RunFor(sim.Millisecond)
+	if got := strings.Join(fp.keys, ""); got != "abccba" {
+		t.Fatalf("dispatch order %q, want abccba", got)
+	}
+	if v := a.Verdicts(); v.Backpressure != 3 || v.Acked != 3 {
+		t.Fatalf("verdicts %+v", v)
+	}
+}
+
+// A completed op's record is poisoned on release: a second completion
+// delivered to it panics instead of settling recycled state.
+func TestReleasedOpPoisoned(t *testing.T) {
+	eng := sim.NewEngine()
+	fp := &fakePlane{eng: eng, hold: true}
+	acks := 0
+	a := NewAdmission(eng, AdmissionConfig{}, nil, fp.put, func(*Op, error) { acks++ })
+	a.Offer("k", []byte("v"), 0)
+	eng.RunFor(sim.Millisecond)
+	if len(fp.held) != 1 {
+		t.Fatalf("%d puts held, want 1", len(fp.held))
+	}
+	done := fp.held[0]
+	fp.release()
+	eng.RunFor(sim.Millisecond)
+	if acks != 1 || a.Pending() != 0 {
+		t.Fatalf("acks %d, pending %d", acks, a.Pending())
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "released op") {
+			t.Fatalf("completing a released op: panic %v, want the poison check's", r)
+		}
+		if acks != 1 {
+			t.Fatalf("stale completion reached onAck (%d acks)", acks)
+		}
+	}()
+	done(nil)
 }

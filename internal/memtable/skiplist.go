@@ -56,13 +56,42 @@ func (s *Skiplist) findPredecessors(key string, prev *[maxLevel]*node) *node {
 	return x.next[0]
 }
 
-// put inserts or replaces key's value. It returns true for a fresh insert.
+// Put inserts or replaces key's value, keeping value itself. It returns
+// true for a fresh insert.
 func (s *Skiplist) Put(key string, value []byte) bool {
 	var prev [maxLevel]*node
 	if n := s.findPredecessors(key, &prev); n != nil && n.key == key {
 		n.value = value
 		return false
 	}
+	s.insert(key, value, &prev)
+	return true
+}
+
+// PutCopy is Put of a private copy of value, in one walk: an existing key's
+// buffer is overwritten in place when its capacity suffices, otherwise the
+// key gets a fresh, never-nil copy. A value Get or Scan returned for key
+// aliases that buffer, so it is valid only until the next write to key.
+func (s *Skiplist) PutCopy(key string, value []byte) bool {
+	var prev [maxLevel]*node
+	if n := s.findPredecessors(key, &prev); n != nil && n.key == key {
+		if n.value != nil && cap(n.value) >= len(value) {
+			n.value = n.value[:len(value)]
+			copy(n.value, value)
+		} else {
+			n.value = clone(value)
+		}
+		return false
+	}
+	s.insert(key, clone(value), &prev)
+	return true
+}
+
+// clone returns a private, never-nil copy of b.
+func clone(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
+
+// insert links a new node for key after the predecessors prev holds.
+func (s *Skiplist) insert(key string, value []byte, prev *[maxLevel]*node) {
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
@@ -76,7 +105,6 @@ func (s *Skiplist) Put(key string, value []byte) bool {
 		prev[i].next[i] = n
 	}
 	s.count++
-	return true
 }
 
 // get returns the value for key.

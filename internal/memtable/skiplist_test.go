@@ -117,3 +117,44 @@ func TestPropertyScanIsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PutCopy keeps a private copy: an overwrite that fits reuses the key's
+// buffer (so an earlier Get result sees the new bytes), one that does not
+// gets a fresh buffer, and the caller's slice is never retained.
+func TestPutCopyOverwritesInPlace(t *testing.T) {
+	s := New(sim.NewRand(3))
+	src := []byte("abcdef")
+	if !s.PutCopy("k", src) {
+		t.Fatal("fresh insert reported as replace")
+	}
+	src[0] = 'X'
+	old, _ := s.Get("k")
+	if string(old) != "abcdef" {
+		t.Fatalf("memtable aliases the caller's slice: %q", old)
+	}
+	if s.PutCopy("k", []byte("xyz")) {
+		t.Fatal("replace reported as insert")
+	}
+	v, _ := s.Get("k")
+	if string(v) != "xyz" || &v[0] != &old[0] {
+		t.Fatalf("fitting overwrite = %q, same buffer %v", v, &v[0] == &old[0])
+	}
+	s.PutCopy("k", []byte("longer than six"))
+	if v2, _ := s.Get("k"); string(v2) != "longer than six" || string(v) != "xyz" {
+		t.Fatalf("growing overwrite = %q, old buffer now %q", v2, v)
+	}
+}
+
+// An empty value is a value: it reads back non-nil with ok, whether it was
+// inserted fresh or overwrote a longer one.
+func TestPutCopyEmptyValueNonNil(t *testing.T) {
+	s := New(sim.NewRand(4))
+	s.PutCopy("fresh", nil)
+	s.PutCopy("over", []byte("payload"))
+	s.PutCopy("over", []byte{})
+	for _, k := range []string{"fresh", "over"} {
+		if v, ok := s.Get(k); !ok || v == nil || len(v) != 0 {
+			t.Fatalf("Get(%q) = %v (nil %v), %v", k, v, v == nil, ok)
+		}
+	}
+}

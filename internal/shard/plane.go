@@ -140,7 +140,8 @@ func (c *Config) fill() {
 type Shard struct {
 	ID    int
 	plane *Plane
-	base  int // region base offset in the store window
+	base  int    // region base offset in the store window
+	label string // "s<ID>": metric series and span label
 
 	epoch    uint64              // bumps at every migration cutover
 	rep      *wal.CoreReplicator // rep.G is the current group; migration swaps it
@@ -242,6 +243,8 @@ type Plane struct {
 	// delivered from a superseded epoch (the invariant: always zero).
 	staleSuppressed uint64
 	staleServed     uint64
+
+	putFree []*putRec // released put records, reused by Put
 
 	open bool
 }
@@ -368,6 +371,7 @@ func (p *Plane) buildShard(sid int, opened func(error)) *Shard {
 		ID:       sid,
 		plane:    p,
 		base:     sid * p.cfg.RegionSize,
+		label:    fmt.Sprintf("s%d", sid),
 		replicas: hosts,
 		former:   make(map[int]bool),
 	}
@@ -388,7 +392,7 @@ func (p *Plane) buildShard(sid int, opened func(error)) *Shard {
 		s.db.EnableCRAQ()
 	}
 	if p.cfg.Metrics != nil {
-		lbl := fmt.Sprintf("s%d", sid)
+		lbl := s.label
 		s.putCount = p.cfg.Metrics.Counter("shard", "puts", lbl)
 		s.putRefused = p.cfg.Metrics.Counter("shard", "puts_refused", lbl)
 		s.putLat = p.cfg.Metrics.Histogram("shard", "put_latency_ns", lbl)
@@ -483,42 +487,19 @@ func (p *Plane) Put(key string, value []byte, done func(error)) (int, error) {
 	issueEpoch := s.epoch
 	var sp *span.Span
 	if p.cfg.Spans != nil {
-		sp = p.cfg.Spans.Start("shard-put", fmt.Sprintf("s%d", s.ID))
+		sp = p.cfg.Spans.Start("shard-put", s.label)
 		sp.SetShardEpoch(s.ID, issueEpoch)
 	}
 	if s.putCount != nil {
 		s.putCount.Inc()
 	}
-	err := s.db.Put(key, value, func(err error) {
-		if err == nil {
-			lat := p.Eng.Now().Sub(start)
-			if s.latEWMA == 0 {
-				s.latEWMA = lat
-			} else {
-				s.latEWMA = (s.latEWMA*7 + lat) / 8
-			}
-			if s.putLat != nil {
-				s.putLat.Observe(lat)
-			}
-		}
-		if sp != nil {
-			if s.epoch != issueEpoch {
-				// The op's ack observed a cutover; the span is explicitly
-				// marked so the fence invariant knows this was seen.
-				sp.MarkCrossedFence()
-			}
-			if err != nil {
-				sp.Annotate("error", err.Error())
-			}
-			sp.End()
-		}
-		if done != nil {
-			done(err)
-		}
-	})
+	r := p.newPut()
+	r.s, r.start, r.issueEpoch, r.sp, r.done = s, start, issueEpoch, sp, done
+	err := s.db.Put(key, value, r.ack)
 	if err != nil {
 		// Synchronous refusal (ring-full backpressure): the callback never
-		// fires, so settle the span and counters here.
+		// fires, so release the record and settle the span and counters here.
+		p.releasePut(r)
 		if s.putRefused != nil {
 			s.putRefused.Inc()
 		}
@@ -528,6 +509,73 @@ func (p *Plane) Put(key string, value []byte, done func(error)) (int, error) {
 		}
 	}
 	return s.ID, err
+}
+
+// putRec carries one Put from issue to its durability ack. Records are
+// pooled per Plane; ack is bound once, when the record is created.
+type putRec struct {
+	s          *Shard
+	start      sim.Time
+	issueEpoch uint64
+	sp         *span.Span
+	done       func(error)
+	ack        func(error)
+	released   bool
+}
+
+// newPut takes a record from the free list, or builds one with its ack bound.
+func (p *Plane) newPut() *putRec {
+	if n := len(p.putFree); n > 0 {
+		r := p.putFree[n-1]
+		p.putFree = p.putFree[:n-1]
+		r.released = false
+		return r
+	}
+	r := &putRec{}
+	r.ack = r.acked
+	return r
+}
+
+// releasePut poisons r and returns it to the free list.
+func (p *Plane) releasePut(r *putRec) {
+	*r = putRec{ack: r.ack, released: true}
+	p.putFree = append(p.putFree, r)
+}
+
+// acked is a put's durability completion: it copies the record out and
+// releases it before any of the put's observers run.
+func (r *putRec) acked(err error) {
+	if r.released {
+		panic("shard: completion delivered to a released put record")
+	}
+	s, start, issueEpoch, sp, done := r.s, r.start, r.issueEpoch, r.sp, r.done
+	p := s.plane
+	p.releasePut(r)
+	if err == nil {
+		lat := p.Eng.Now().Sub(start)
+		if s.latEWMA == 0 {
+			s.latEWMA = lat
+		} else {
+			s.latEWMA = (s.latEWMA*7 + lat) / 8
+		}
+		if s.putLat != nil {
+			s.putLat.Observe(lat)
+		}
+	}
+	if sp != nil {
+		if s.epoch != issueEpoch {
+			// The op's ack observed a cutover; the span is explicitly
+			// marked so the fence invariant knows this was seen.
+			sp.MarkCrossedFence()
+		}
+		if err != nil {
+			sp.Annotate("error", err.Error())
+		}
+		sp.End()
+	}
+	if done != nil {
+		done(err)
+	}
 }
 
 // Delete removes key from its owning shard.
