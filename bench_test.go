@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"hyperloop/internal/cpusched"
 	"hyperloop/internal/experiments"
+	"hyperloop/internal/naive"
 	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 	"hyperloop/internal/ycsb"
@@ -463,6 +465,150 @@ func TestStorageAllocCeilings(t *testing.T) {
 			t.Errorf("%s allocates %v/op, ceiling %v", c.name, got, c.ceiling)
 		} else {
 			t.Logf("%s: %v allocs/op (ceiling %v)", c.name, got, c.ceiling)
+		}
+		closeRig()
+	}
+}
+
+// The primitive rigs below drive a 3-replica group of either arm one op at a
+// time through a fixed cycle of durable 1 KiB primitives. mixCycle is the
+// benchmark's 50/20/20/10 gWRITE/gCAS/gMEMCPY/gFLUSH mix; mixTenants is the
+// paper's 10:1 co-location (always-on CPU hogs per replica core).
+const (
+	mixCycle   = "WCWMWCWMWF"
+	mixTenants = 10
+)
+
+// primArm wires one arm's group over cl and returns it with a gCAS on every
+// replica (the arms disagree on the execute-map type).
+type primArm func(cl *Cluster) (Backend, func(off int, old, new uint64, done func(Result)) error)
+
+func hyperLoopArm(cl *Cluster) (Backend, func(int, uint64, uint64, func(Result)) error) {
+	g := NewGroup(cl, GroupConfig{})
+	return g, func(off int, old, new uint64, done func(Result)) error {
+		return g.GCAS(off, old, new, AllReplicas(3), done)
+	}
+}
+
+func naiveArm(cfg NaiveConfig) primArm {
+	return func(cl *Cluster) (Backend, func(int, uint64, uint64, func(Result)) error) {
+		g := NewNaiveGroup(cl, cfg)
+		return g, func(off int, old, new uint64, done func(Result)) error {
+			return g.GCAS(off, old, new, ^uint64(0), done)
+		}
+	}
+}
+
+// primHotOp wires arm over a fresh client + 3-replica cluster, with tenants
+// always-on hogs per core on every replica host, and returns a closure
+// running the next op of cycle to completion.
+func primHotOp(tb testing.TB, arm primArm, tenants int, cycle string) (eng *Engine, op func(), closeRig func()) {
+	eng = NewEngine()
+	cl := NewCluster(eng, ClusterConfig{Nodes: 4})
+	var stops []func()
+	for _, rep := range cl.Replicas() {
+		if tenants > 0 {
+			stops = append(stops, AddTenants(eng, rep.Host, tenants*rep.Host.Cores(),
+				cpusched.TenantConfig{AlwaysOn: true}, cl.Rand.Fork()))
+		}
+	}
+	g, gcas := arm(cl)
+	cl.Client().StoreWrite(0, make([]byte, 2048))
+	finished, run := runOne(tb, eng, "primitive")
+	onDone := func(r Result) { finished(r.Err) }
+	next, word := 0, uint64(0)
+	start := func() {
+		var err error
+		switch cycle[next%len(cycle)] {
+		case 'W':
+			err = g.GWrite(0, 1024, true, onDone)
+		case 'C':
+			err = gcas(4096, word, word^1, onDone)
+			word ^= 1
+		case 'M':
+			err = g.GMemcpy(1024, 0, 1024, true, onDone)
+		case 'F':
+			err = g.GFlush(onDone)
+		}
+		next++
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	closeRig = func() {
+		g.Close()
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	return eng, func() { run(start) }, closeRig
+}
+
+// TestNaiveAllocCeiling pins the host cost of the Naïve arm in both
+// consumption modes: with pooled op and handler records and commands
+// encoded in their ring slots, the co-located primitive mix allocates
+// nothing per op once the pools are warm.
+func TestNaiveAllocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     NaiveConfig
+		ceiling float64
+	}{
+		{"Event", NaiveConfig{Mode: naive.Event}, 0},
+		{"Polling, unpinned, co-located", NaiveConfig{Mode: naive.Polling}, 0},
+	} {
+		_, op, closeRig := primHotOp(t, naiveArm(c.cfg), mixTenants, mixCycle)
+		for i := 0; i < 2000; i++ { // pools, queues and rings at size
+			op()
+		}
+		// One run over the whole window counts every allocation exactly
+		// (AllocsPerRun truncates its per-run mean).
+		const ops = 1000
+		window := func() {
+			for i := 0; i < ops; i++ {
+				op()
+			}
+		}
+		if got := testing.AllocsPerRun(1, window) / ops; got > c.ceiling {
+			t.Errorf("Naive %s primitive mix allocates %v/op, ceiling %v", c.name, got, c.ceiling)
+		} else {
+			t.Logf("Naive %s primitive mix: %v allocs/op (ceiling %v)", c.name, got, c.ceiling)
+		}
+		closeRig()
+	}
+}
+
+// TestEventBudgets pins the engine events one op fires (sim.Engine.Fired
+// per op over a warm window). The counts are deterministic, so a host-side
+// change that adds, drops or fuses a scheduled step shows here exactly;
+// the ceilings are the datapath's current counts.
+func TestEventBudgets(t *testing.T) {
+	const ops = 1000
+	for _, c := range []struct {
+		name    string
+		arm     primArm
+		tenants int
+		cycle   string
+		ceiling float64
+	}{
+		{"HyperLoop durable 1 KiB gWRITE", hyperLoopArm, 0, "W", 54.869},
+		{"Naive-Event durable 1 KiB gWRITE", naiveArm(NaiveConfig{Mode: naive.Event}), 0, "W", 38},
+		{"HyperLoop primitive mix, co-located", hyperLoopArm, mixTenants, mixCycle, 49.86},
+		{"Naive-Event primitive mix, co-located", naiveArm(NaiveConfig{Mode: naive.Event}), mixTenants, mixCycle, 64.459},
+	} {
+		eng, op, closeRig := primHotOp(t, c.arm, c.tenants, c.cycle)
+		for i := 0; i < 2000; i++ {
+			op()
+		}
+		before := eng.Fired()
+		for i := 0; i < ops; i++ {
+			op()
+		}
+		got := float64(eng.Fired()-before) / ops
+		if got > c.ceiling {
+			t.Errorf("%s fires %v events/op, budget %v", c.name, got, c.ceiling)
+		} else {
+			t.Logf("%s: %v events/op (budget %v)", c.name, got, c.ceiling)
 		}
 		closeRig()
 	}

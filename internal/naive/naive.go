@@ -59,7 +59,8 @@ type Config struct {
 	// execute the memory op, and post the forward (default 2µs).
 	HandlerCPU sim.Duration
 	// MaxInflight is the client window: un-acked ops beyond it queue
-	// client-side (default 64).
+	// client-side (default 64). It may not exceed the 256-slot command,
+	// ack and RECV rings (ringDepth); NewWithNodes panics on a wider window.
 	MaxInflight int
 }
 
@@ -73,7 +74,7 @@ func (c *Config) fill() {
 }
 
 // command is the replication message the baseline forwards hop to hop. It
-// is encoded into a wire buffer so message sizes are honest.
+// is encoded into registered ring slots so message sizes are honest.
 type command struct {
 	op      uint8 // 1 gwrite, 2 gcas, 3 gmemcpy, 4 gflush
 	seq     uint64
@@ -84,46 +85,62 @@ type command struct {
 	casOld  uint64
 	casNew  uint64
 	exec    uint64
-	results []uint64 // accumulated CAS results
+	results []uint64 // accumulated CAS results; nil encodes as zeros
 }
 
 const cmdOp = 1 + 8 + 8 + 8 + 4 + 1 + 8 + 8 + 8
 
-func (m *command) encode(n int) []byte {
-	buf := make([]byte, cmdOp+8*n)
+// encodeInto writes m over buf[:cmdOp+8*n] in place. Ring slots hold the
+// previous lap's message (DESIGN §18), so every byte is written: the
+// durable flag either way, and a zero for each result word m has none for.
+func (m *command) encodeInto(buf []byte, n int) {
+	buf = buf[:cmdOp+8*n]
 	buf[0] = m.op
 	binary.LittleEndian.PutUint64(buf[1:], m.seq)
 	binary.LittleEndian.PutUint64(buf[9:], m.off)
 	binary.LittleEndian.PutUint64(buf[17:], m.src)
 	binary.LittleEndian.PutUint32(buf[25:], m.size)
+	buf[29] = 0
 	if m.durable {
 		buf[29] = 1
 	}
 	binary.LittleEndian.PutUint64(buf[30:], m.casOld)
 	binary.LittleEndian.PutUint64(buf[38:], m.casNew)
 	binary.LittleEndian.PutUint64(buf[46:], m.exec)
-	for i, v := range m.results {
-		binary.LittleEndian.PutUint64(buf[cmdOp+8*i:], v)
-	}
-	return buf
+	putWords(buf[cmdOp:], m.results, n)
 }
 
-func decodeCommand(buf []byte, n int) command {
-	m := command{
-		op:      buf[0],
-		seq:     binary.LittleEndian.Uint64(buf[1:]),
-		off:     binary.LittleEndian.Uint64(buf[9:]),
-		src:     binary.LittleEndian.Uint64(buf[17:]),
-		size:    binary.LittleEndian.Uint32(buf[25:]),
-		durable: buf[29] == 1,
-		casOld:  binary.LittleEndian.Uint64(buf[30:]),
-		casNew:  binary.LittleEndian.Uint64(buf[38:]),
-		exec:    binary.LittleEndian.Uint64(buf[46:]),
-	}
+// decodeInto fills m from buf, reusing m.results for the n result words.
+func (m *command) decodeInto(buf []byte, n int) {
+	m.op = buf[0]
+	m.seq = binary.LittleEndian.Uint64(buf[1:])
+	m.off = binary.LittleEndian.Uint64(buf[9:])
+	m.src = binary.LittleEndian.Uint64(buf[17:])
+	m.size = binary.LittleEndian.Uint32(buf[25:])
+	m.durable = buf[29] == 1
+	m.casOld = binary.LittleEndian.Uint64(buf[30:])
+	m.casNew = binary.LittleEndian.Uint64(buf[38:])
+	m.exec = binary.LittleEndian.Uint64(buf[46:])
+	m.results = getWords(m.results[:0], buf[cmdOp:], n)
+}
+
+// putWords writes n little-endian words to dst: words, then zeros.
+func putWords(dst []byte, words []uint64, n int) {
 	for i := 0; i < n; i++ {
-		m.results = append(m.results, binary.LittleEndian.Uint64(buf[cmdOp+8*i:]))
+		var v uint64
+		if i < len(words) {
+			v = words[i]
+		}
+		binary.LittleEndian.PutUint64(dst[8*i:], v)
 	}
-	return m
+}
+
+// getWords appends the n little-endian words of src to dst.
+func getWords(dst []uint64, src []byte, n int) []uint64 {
+	for i := 0; i < n; i++ {
+		dst = append(dst, binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return dst
 }
 
 // replica is one hop's software state: its QPs plus the host-side handler.
@@ -134,9 +151,47 @@ type replica struct {
 	up     *rdma.QP // from previous node
 	down   *rdma.QP // toward next node (client for the tail)
 	cmdBuf *rdma.MemoryRegion
+	cmdRAM []byte // cmdBuf's bytes: commands are decoded and encoded in place
 	poller *cpusched.Task
-	inbox  []rdma.CQE // completions awaiting the poller
-	recvs  int
+	inbox  fifo.Queue[uint64] // WRIDs of completions awaiting the poller
+	cmd    command            // handle's decode scratch
+
+	freeHandlers []*handlerRec // recycled handler records
+}
+
+// handlerRec carries one received command's WRID to the host CPU. run is
+// bound once, when the record is created, and handed to Host.Submit (Event)
+// or the engine (Polling) on every reuse; the record goes back on its
+// replica's free list after handle returns.
+type handlerRec struct {
+	r        *replica
+	wrid     uint64
+	run      func()
+	released bool
+}
+
+// newHandler returns a handler record for the completion wrid.
+func (r *replica) newHandler(wrid uint64) *handlerRec {
+	n := len(r.freeHandlers)
+	if n == 0 {
+		h := &handlerRec{r: r, wrid: wrid}
+		h.run = h.fire
+		return h
+	}
+	h := r.freeHandlers[n-1]
+	r.freeHandlers = r.freeHandlers[:n-1]
+	h.wrid, h.released = wrid, false
+	return h
+}
+
+// fire runs the hop's handler, then recycles the record.
+func (h *handlerRec) fire() {
+	if h.released {
+		panic("naive: released handler record dispatched")
+	}
+	h.r.handle(h.wrid)
+	h.released = true
+	h.r.freeHandlers = append(h.r.freeHandlers, h)
 }
 
 // Group is a Naïve-RDMA replication group over the same cluster layout as
@@ -147,24 +202,64 @@ type Group struct {
 	client       *cluster.Node
 	replicaNodes []*cluster.Node
 	replicas     []*replica
+	cmdLen       int // encoded command size: cmdOp + 8 result words per replica
 
 	cliQP   *rdma.QP
 	ackQP   *rdma.QP
 	cliCmd  *rdma.MemoryRegion
+	cliRAM  []byte // cliCmd's bytes
 	ackMR   *rdma.MemoryRegion
+	ackRAM  []byte // ackMR's bytes
 	pending fifo.Queue[*op]
 	waiting fifo.Queue[*op]
+	freeOps []*op // finished op records, reused by newOp
 	issued  uint64
 	failed  error
 
 	handlerOps uint64 // replica handler activations (CPU critical path)
 }
 
+// op is a queued primitive invocation. Records come from the group's free
+// list (newOp) and go back once done has returned, so an op costs no
+// allocation in steady state; a released record is poisoned, and acking or
+// releasing it again panics.
 type op struct {
-	seq    uint64
-	cmd    command
-	issued sim.Time
-	done   func(Result)
+	seq      uint64
+	cmd      command
+	issued   sim.Time
+	done     func(Result)
+	res      []uint64 // n words: outgoing gCAS results, then Result.CASOld
+	released bool
+}
+
+// newOp returns an op record for cmd completing through done.
+func (g *Group) newOp(cmd command, done func(Result)) *op {
+	n := len(g.freeOps)
+	if n == 0 {
+		return &op{cmd: cmd, done: done, res: make([]uint64, len(g.replicaNodes))}
+	}
+	o := g.freeOps[n-1]
+	g.freeOps = g.freeOps[:n-1]
+	*o = op{cmd: cmd, done: done, res: o.res}
+	return o
+}
+
+// finish completes o through its callback and recycles the record.
+func (g *Group) finish(o *op, res Result) {
+	if o.done != nil {
+		o.done(res)
+	}
+	g.releaseOp(o)
+}
+
+// releaseOp poisons o and returns it to the free list.
+func (g *Group) releaseOp(o *op) {
+	if o.released {
+		panic("naive: op released twice")
+	}
+	o.released = true
+	o.done = nil
+	g.freeOps = append(g.freeOps, o)
 }
 
 const ringDepth = 256
@@ -180,8 +275,11 @@ func NewWithNodes(eng *sim.Engine, client *cluster.Node, replicaNodes []*cluster
 		panic("naive: need a client and at least one replica")
 	}
 	cfg.fill()
-	g := &Group{eng: eng, cfg: cfg, client: client, replicaNodes: replicaNodes}
+	if cfg.MaxInflight > ringDepth {
+		panic(fmt.Sprintf("naive: MaxInflight %d exceeds the %d-slot command ring", cfg.MaxInflight, ringDepth))
+	}
 	n := len(replicaNodes)
+	g := &Group{eng: eng, cfg: cfg, client: client, replicaNodes: replicaNodes, cmdLen: cmdOp + 8*n}
 
 	nodes := append([]*cluster.Node{client}, replicaNodes...)
 	type pair struct{ src, dst *rdma.QP }
@@ -192,8 +290,10 @@ func NewWithNodes(eng *sim.Engine, client *cluster.Node, replicaNodes []*cluster
 	}
 	g.cliQP = pairs[0].src
 	g.ackQP = pairs[n].dst
-	g.cliCmd = g.client.NIC.RegisterRAM(ringDepth*(cmdOp+8*n), rdma.AccessLocalWrite)
-	g.ackMR = g.client.NIC.RegisterRAM(ringDepth*8*maxInt(n, 1), rdma.AccessLocalWrite|rdma.AccessRemoteWrite)
+	g.cliCmd = g.client.NIC.RegisterRAM(ringDepth*g.cmdLen, rdma.AccessLocalWrite)
+	g.cliRAM = ramBytes(g.cliCmd)
+	g.ackMR = g.client.NIC.RegisterRAM(ringDepth*8*n, rdma.AccessLocalWrite|rdma.AccessRemoteWrite)
+	g.ackRAM = ramBytes(g.ackMR)
 
 	for i, node := range replicaNodes {
 		r := &replica{
@@ -202,8 +302,10 @@ func NewWithNodes(eng *sim.Engine, client *cluster.Node, replicaNodes []*cluster
 			node:  node,
 			up:    pairs[i].dst,
 			down:  pairs[i+1].src,
+			cmd:   command{results: make([]uint64, 0, n)},
 		}
-		r.cmdBuf = node.NIC.RegisterRAM(ringDepth*(cmdOp+8*n), rdma.AccessLocalWrite)
+		r.cmdBuf = node.NIC.RegisterRAM(ringDepth*g.cmdLen, rdma.AccessLocalWrite)
+		r.cmdRAM = ramBytes(r.cmdBuf)
 		r.up.SendCQ().SetAutoDrain(true)
 		r.down.SendCQ().SetAutoDrain(true)
 		r.down.SendCQ().SetCallback(func(e rdma.CQE) {
@@ -240,11 +342,9 @@ func NewWithNodes(eng *sim.Engine, client *cluster.Node, replicaNodes []*cluster
 	return g
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// ramBytes is the host's view of a RAM-registered region.
+func ramBytes(mr *rdma.MemoryRegion) []byte {
+	return mr.Backing().(*rdma.RAMBacking).Bytes()
 }
 
 // HandlerActivations counts replica-CPU handler runs — the critical-path
@@ -263,6 +363,7 @@ func (g *Group) Close() {
 	}
 }
 
+// fail errors out every in-flight and queued op, each exactly once.
 func (g *Group) fail(reason error) {
 	if g.failed != nil {
 		return
@@ -270,23 +371,20 @@ func (g *Group) fail(reason error) {
 	g.failed = reason
 	for _, q := range []*fifo.Queue[*op]{&g.pending, &g.waiting} {
 		for q.Len() > 0 {
-			if o := q.Pop(); o.done != nil {
-				o.done(Result{Seq: o.seq, Err: reason})
-			}
+			o := q.Pop()
+			g.finish(o, Result{Seq: o.seq, Err: reason})
 		}
 	}
 }
 
 func (r *replica) postRecv(k int) {
-	n := len(r.g.replicaNodes)
-	slot := (k % ringDepth) * (cmdOp + 8*n)
+	slot := (k % ringDepth) * r.g.cmdLen
 	if _, err := r.up.PostRecv(rdma.WQE{
 		WRID: uint64(k),
-		SGEs: []rdma.SGE{{LKey: r.cmdBuf.LKey(), Offset: uint64(slot), Length: uint32(cmdOp + 8*n)}},
+		SGEs: []rdma.SGE{{LKey: r.cmdBuf.LKey(), Offset: uint64(slot), Length: uint32(r.g.cmdLen)}},
 	}); err != nil {
 		r.g.fail(fmt.Errorf("%w: repost recv: %v", ErrGroupFailed, err))
 	}
-	r.recvs++
 }
 
 // onCompletion is the NIC-level completion hook. In Event mode it schedules
@@ -300,35 +398,28 @@ func (r *replica) onCompletion(e rdma.CQE) {
 	switch r.g.cfg.Mode {
 	case Event:
 		r.g.handlerOps++
-		r.node.Host.Submit("naive-handler", r.g.cfg.HandlerCPU, func() { r.handle(e) })
+		r.node.Host.Submit("naive-handler", r.g.cfg.HandlerCPU, r.newHandler(e.WRID).run)
 	case Polling:
-		r.inbox = append(r.inbox, e)
+		r.inbox.Push(e.WRID)
 		if r.poller != nil && r.poller.Active() {
 			// The spinning poller notices within its poll granularity, then
 			// spends handler CPU inline on its core.
-			batch := r.inbox
-			r.inbox = nil
-			delay := r.node.Host.PollDelay()
-			for _, cqe := range batch {
-				cqe := cqe
-				r.g.handlerOps++
-				delay += r.g.cfg.HandlerCPU
-				r.g.eng.Schedule(delay, func() { r.handle(cqe) })
-			}
+			r.dispatchInbox(r.node.Host.PollDelay())
 		}
 	}
 }
 
 // drainInbox is the poller's dispatch when it gets (back) on a core.
-func (r *replica) drainInbox() {
-	batch := r.inbox
-	r.inbox = nil
-	delay := sim.Duration(0)
-	for _, cqe := range batch {
-		cqe := cqe
+func (r *replica) drainInbox() { r.dispatchInbox(0) }
+
+// dispatchInbox schedules one handler per parked completion, back to back
+// after delay, each costing HandlerCPU.
+func (r *replica) dispatchInbox(delay sim.Duration) {
+	for r.inbox.Len() > 0 {
+		h := r.newHandler(r.inbox.Pop())
 		r.g.handlerOps++
 		delay += r.g.cfg.HandlerCPU
-		r.g.eng.Schedule(delay, func() { r.handle(cqe) })
+		r.g.eng.Schedule(delay, h.run)
 	}
 }
 
@@ -350,17 +441,18 @@ func (g *Group) startPollers() {
 
 // handle executes one hop's replication step on the replica CPU's behalf:
 // apply the memory operation locally, then forward down the chain (or ack).
-func (r *replica) handle(e rdma.CQE) {
+// The command is decoded from, and re-encoded into, its RECV slot in place.
+func (r *replica) handle(wrid uint64) {
 	g := r.g
 	if g.failed != nil {
 		return
 	}
 	n := len(g.replicaNodes)
-	k := int(e.WRID)
-	slot := (k % ringDepth) * (cmdOp + 8*n)
-	raw := make([]byte, cmdOp+8*n)
-	r.cmdBuf.Backing().ReadAt(slot, raw)
-	cmd := decodeCommand(raw, n)
+	k := int(wrid)
+	slotOff := (k % ringDepth) * g.cmdLen
+	slot := r.cmdRAM[slotOff:]
+	cmd := &r.cmd
+	cmd.decodeInto(slot, n)
 
 	// Apply locally. The data payload for gWRITE was RDMA-written into our
 	// store by the upstream node before the command SEND (same QP, in
@@ -392,17 +484,14 @@ func (r *replica) handle(e rdma.CQE) {
 	r.postRecv(k + ringDepth) // re-arm our ring slot
 
 	if r.index == n-1 {
-		// Tail: ack to the client with the (possibly updated) result map.
-		ackSlot := (k % ringDepth) * 8 * maxInt(n, 1)
-		res := make([]byte, 8*n)
-		for i, v := range cmd.results {
-			binary.LittleEndian.PutUint64(res[8*i:], v)
-		}
-		r.cmdBuf.Backing().WriteAt(slot, res)
+		// Tail: ack to the client with the (possibly updated) result map,
+		// written over the consumed command's slot.
+		ackSlot := (k % ringDepth) * 8 * n
+		putWords(slot, cmd.results, n)
 		if _, err := r.down.PostSend(rdma.WQE{
 			Opcode: rdma.OpWriteImm, Signaled: true, Imm: cmd.seq,
 			RKey: g.ackMR.RKey(), RAddr: uint64(ackSlot),
-			SGEs: []rdma.SGE{{LKey: r.cmdBuf.LKey(), Offset: uint64(slot), Length: uint32(8 * n)}},
+			SGEs: []rdma.SGE{{LKey: r.cmdBuf.LKey(), Offset: uint64(slotOff), Length: uint32(8 * n)}},
 		}); err != nil {
 			g.fail(fmt.Errorf("%w: tail ack: %v", ErrGroupFailed, err))
 		}
@@ -421,10 +510,10 @@ func (r *replica) handle(e rdma.CQE) {
 			return
 		}
 	}
-	r.cmdBuf.Backing().WriteAt(slot, cmd.encode(n))
+	cmd.encodeInto(slot, n)
 	if _, err := r.down.PostSend(rdma.WQE{
 		Opcode: rdma.OpSend, Signaled: true,
-		SGEs: []rdma.SGE{{LKey: r.cmdBuf.LKey(), Offset: uint64(slot), Length: uint32(cmdOp + 8*n)}},
+		SGEs: []rdma.SGE{{LKey: r.cmdBuf.LKey(), Offset: uint64(slotOff), Length: uint32(g.cmdLen)}},
 	}); err != nil {
 		g.fail(fmt.Errorf("%w: forward send: %v", ErrGroupFailed, err))
 	}
@@ -446,7 +535,9 @@ func (r *replica) storeWriteNICPath(off int, data []byte) {
 	b.Device().MarkDirty(b.Base()+off, len(data))
 }
 
-// onAck completes the head pending op when the tail's ack lands.
+// onAck completes the head pending op when the tail's ack lands. A gCAS's
+// result map is read into the op record's own buffer: Result.CASOld is
+// valid until done returns.
 func (g *Group) onAck(e rdma.CQE) {
 	if e.Status != rdma.StatusSuccess {
 		g.fail(fmt.Errorf("%w: ack %s", ErrGroupFailed, e.Status))
@@ -457,23 +548,20 @@ func (g *Group) onAck(e rdma.CQE) {
 		return
 	}
 	o := g.pending.Pop()
+	if o.released {
+		panic("naive: ack delivered to a released op")
+	}
 	if _, err := g.ackQP.PostRecv(rdma.WQE{}); err != nil {
-		g.fail(err)
+		g.fail(fmt.Errorf("%w: repost ack recv: %v", ErrGroupFailed, err))
+		g.finish(o, Result{Seq: o.seq, Err: g.failed})
 		return
 	}
 	res := Result{Seq: o.seq, Latency: g.eng.Now().Sub(o.issued)}
 	if o.cmd.op == 2 {
 		n := len(g.replicaNodes)
-		buf := make([]byte, 8*n)
-		g.ackMR.Backing().ReadAt((int(o.seq)%ringDepth)*8*maxInt(n, 1), buf)
-		res.CASOld = make([]uint64, n)
-		for i := range res.CASOld {
-			res.CASOld[i] = binary.LittleEndian.Uint64(buf[8*i:])
-		}
+		res.CASOld = getWords(o.res[:0], g.ackRAM[(int(o.seq)%ringDepth)*8*n:], n)
 	}
-	if o.done != nil {
-		o.done(res)
-	}
+	g.finish(o, res)
 	g.pump()
 }
 
@@ -487,10 +575,19 @@ func (g *Group) submit(cmd command, done func(Result)) error {
 	if g.failed != nil {
 		return g.failed
 	}
-	o := &op{cmd: cmd, done: done}
-	g.waiting.Push(o)
+	g.waiting.Push(g.newOp(cmd, done))
 	g.pump()
 	return nil
+}
+
+// post issues one client WQE; a refused post fails the group.
+func (g *Group) post(w rdma.WQE) {
+	if g.failed != nil {
+		return
+	}
+	if _, err := g.cliQP.PostSend(w); err != nil {
+		g.fail(fmt.Errorf("%w: client post: %v", ErrGroupFailed, err))
+	}
 }
 
 func (g *Group) send(o *op) {
@@ -503,31 +600,23 @@ func (g *Group) send(o *op) {
 	n := len(g.replicaNodes)
 	head := g.replicaNodes[0]
 	if o.cmd.op == 2 {
-		o.cmd.results = make([]uint64, n)
-		for i := range o.cmd.results {
-			o.cmd.results[i] = ^uint64(0)
+		for i := range o.res {
+			o.res[i] = ^uint64(0)
 		}
-	}
-	post := func(w rdma.WQE) {
-		if g.failed != nil {
-			return
-		}
-		if _, err := g.cliQP.PostSend(w); err != nil {
-			g.fail(fmt.Errorf("%w: client post: %v", ErrGroupFailed, err))
-		}
+		o.cmd.results = o.res
 	}
 	if o.cmd.op == 1 {
-		post(rdma.WQE{
+		g.post(rdma.WQE{
 			Opcode: rdma.OpWrite, Signaled: true,
 			RKey: head.Store.RKey(), RAddr: o.cmd.off,
 			SGEs: []rdma.SGE{{LKey: g.client.Store.LKey(), Offset: o.cmd.off, Length: o.cmd.size}},
 		})
 	}
-	slot := (int(o.seq) % ringDepth) * (cmdOp + 8*n)
-	g.cliCmd.Backing().WriteAt(slot, o.cmd.encode(n))
-	post(rdma.WQE{
+	slot := (int(o.seq) % ringDepth) * g.cmdLen
+	o.cmd.encodeInto(g.cliRAM[slot:], n)
+	g.post(rdma.WQE{
 		Opcode: rdma.OpSend, Signaled: true,
-		SGEs: []rdma.SGE{{LKey: g.cliCmd.LKey(), Offset: uint64(slot), Length: uint32(cmdOp + 8*n)}},
+		SGEs: []rdma.SGE{{LKey: g.cliCmd.LKey(), Offset: uint64(slot), Length: uint32(g.cmdLen)}},
 	})
 }
 
@@ -539,7 +628,8 @@ func (g *Group) GWrite(off, size int, durable bool, done func(Result)) error {
 	return g.submit(command{op: 1, off: uint64(off), size: uint32(size), durable: durable}, done)
 }
 
-// GCAS mirrors core.Group.GCAS.
+// GCAS mirrors core.Group.GCAS. The Result.CASOld handed to done is the op
+// record's buffer, valid until done returns.
 func (g *Group) GCAS(off int, old, new uint64, exec uint64, done func(Result)) error {
 	if off < 0 || off+8 > g.client.Store.Len() {
 		return ErrBadArgs

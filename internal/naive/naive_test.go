@@ -89,7 +89,11 @@ func TestGCASMatchesSemantics(t *testing.T) {
 	defer g.Close()
 	var res Result
 	done := false
-	g.GCAS(64, 0, 9, 0b101, func(r Result) { res = r; done = true })
+	g.GCAS(64, 0, 9, 0b101, func(r Result) {
+		res = r
+		res.CASOld = append([]uint64(nil), r.CASOld...) // valid only until done returns
+		done = true
+	})
 	run(t, eng, g, &done)
 	if res.CASOld[0] != 0 || res.CASOld[2] != 0 {
 		t.Fatalf("results %v", res.CASOld)
