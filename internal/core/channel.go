@@ -140,9 +140,9 @@ type channel struct {
 	cliStagingRAM, ackRAM, creditRAM, ctrlRAM []byte
 
 	// Posting scratch, reused across rounds (see sges): client WQEs of one
-	// sendBatch, and one replenish round's downstream and loopback chains.
-	cliWQEs, downWQEs, loopWQEs []rdma.WQE
-	sgeArena                    []rdma.SGE
+	// sendBatch and the SGE lists of one posting round.
+	cliWQEs  []rdma.WQE
+	sgeArena []rdma.SGE
 
 	issued     uint64
 	acked      uint64
@@ -347,10 +347,6 @@ func (c *channel) prime() {
 		// Setup is host-coordinated: seed the credit region directly.
 		putLE64(c.creditRAM[8*i:], uint64(c.hops[i].posted))
 	}
-	// Priming posts Depth chains per hop at once; steady-state rounds post a
-	// handful. Let the scratch regrow to that size instead of pinning
-	// megabytes per channel for the life of the group.
-	c.downWQEs, c.loopWQEs, c.sgeArena = nil, nil, nil
 	if c.kind == chLoop {
 		c.postLoopTemplate()
 	}
@@ -385,7 +381,7 @@ func (c *channel) replenish(ri int) int {
 		return 0
 	}
 	h := c.hops[ri]
-	down, loop := c.downWQEs[:0], c.loopWQEs[:0]
+	down, loop := c.g.downWQEs[:0], c.g.loopWQEs[:0]
 	c.sgeArena = c.sgeArena[:0]
 	for i := 0; i < n; i++ {
 		if err := c.chainWQEs(ri, h.posted, &down, &loop); err != nil {
@@ -394,7 +390,7 @@ func (c *channel) replenish(ri int) int {
 		}
 		h.posted++
 	}
-	c.downWQEs, c.loopWQEs = down, loop
+	c.g.downWQEs, c.g.loopWQEs = down, loop
 	if len(down) > 0 {
 		if _, err := h.down.PostSendBatch(down, rdma.RawOwnership); err != nil {
 			c.g.fail(fmt.Errorf("%w: replenish %s hop %d: %v", ErrGroupFailed, c.kind, ri, err))

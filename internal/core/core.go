@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"hyperloop/internal/cluster"
+	"hyperloop/internal/rdma"
 	"hyperloop/internal/sim"
 )
 
@@ -179,6 +180,12 @@ type Group struct {
 	opsCompleted uint64
 	fusedBatches uint64 // multi-op postings issued under FusionDepth > 1
 	fusedOps     uint64 // ops carried inside those postings
+
+	// One replenish round's downstream and loopback chains. Rounds run one
+	// channel at a time and never nest, so the group's channels share this
+	// scratch; it keeps the priming round's size, which no later round
+	// outgrows.
+	downWQEs, loopWQEs []rdma.WQE
 }
 
 // New wires a HyperLoop group over an existing cluster (node 0 = client).

@@ -17,7 +17,7 @@ import (
 // replicate exactly one buffer shape.
 //
 // It exists for the ablation comparing manipulation overhead against the
-// fixed strawman (BenchmarkAblationFixedVsManipulated) and as executable
+// fixed strawman (experiments.AblationFixedVsManipulated) and as executable
 // documentation of why manipulation is necessary for real storage systems.
 type FixedChain struct {
 	eng      *sim.Engine
