@@ -9,6 +9,7 @@ package hyperloop
 // Run with: go test -run xxx -bench . -benchmem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -352,6 +353,39 @@ func TestNaiveAllocCeiling(t *testing.T) {
 			t.Errorf("Naive %s primitive mix allocates %v/op, ceiling %v", c.name, got, c.ceiling)
 		} else {
 			t.Logf("Naive %s primitive mix: %v allocs/op (ceiling %v)", c.name, got, c.ceiling)
+		}
+		closeRig()
+	}
+}
+
+// TestPrimsMixAllocFree replays a seeded 50/20/20/10
+// gWRITE/gCAS/gMEMCPY/gFLUSH stream on the HyperLoop arm at seeds 1–5 and
+// counts one whole window per seed, so a buffer that first reaches its
+// high-water mark late in one seed's stream (the replenisher's scratch, the
+// NVM pre-image slab) shows as an allocation.
+func TestPrimsMixAllocFree(t *testing.T) {
+	const warm, window = 2000, 2000
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		stream := make([]byte, warm+2*window) // allocsPerOp runs its window twice
+		for i := range stream {
+			switch k := r.Intn(10); {
+			case k < 5:
+				stream[i] = 'W'
+			case k < 7:
+				stream[i] = 'C'
+			case k < 9:
+				stream[i] = 'M'
+			default:
+				stream[i] = 'F'
+			}
+		}
+		_, op, closeRig := primHotOp(t, hyperLoopArm, 0, string(stream))
+		for i := 0; i < warm; i++ {
+			op()
+		}
+		if got := allocsPerOp(window, op); got > 0 {
+			t.Errorf("seed %d: HyperLoop primitive mix allocates %v/op, ceiling 0", seed, got)
 		}
 		closeRig()
 	}

@@ -43,8 +43,9 @@ func (n *Node) StoreWrite(off int, data []byte) {
 
 // StoreWindow returns the live bytes [off, off+size) of the node's store
 // window without copying: the peek for readers that only look, and the
-// place a CPU store can be built in. Bytes written through it are not
-// durable until StorePersist covers them.
+// place a CPU store can be built in. Bytes written through it are tracked
+// for durability only once StorePersist covers them, within the same event
+// (nvm.Device.View).
 func (n *Node) StoreWindow(off, size int) []byte {
 	b := n.Store.Backing().(*rdma.NVMBacking)
 	return b.Device().View(b.Base()+off, size)

@@ -526,13 +526,12 @@ func (r *replica) flushStore(off, size int) {
 	b.Device().Flush(b.Base()+off, size)
 }
 
-// storeWriteNICPath mutates the store through the volatile-coherent view
-// (host store without an explicit persist — matching a CPU store that has
-// not been flushed).
+// storeWriteNICPath writes the store on the volatile path (host store
+// without an explicit persist — matching a CPU store that has not been
+// flushed). data may alias the store (gMEMCPY's source).
 func (r *replica) storeWriteNICPath(off int, data []byte) {
 	b := r.node.Store.Backing().(*rdma.NVMBacking)
-	copy(b.Device().View(b.Base()+off, len(data)), data)
-	b.Device().MarkDirty(b.Base()+off, len(data))
+	b.Device().Write(b.Base()+off, data)
 }
 
 // onAck completes the head pending op when the tail's ack lands. A gCAS's

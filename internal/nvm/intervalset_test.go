@@ -65,17 +65,20 @@ type shadowDev struct {
 }
 
 // runDirtySetOps decodes ops as a stream of (kind, lo, len) byte triples and
-// drives them through a Device and the per-byte shadow in lockstep. Lengths
-// are taken modulo the room left, so zero-length ranges, ranges ending at the
-// device's last byte and full-device flushes all occur; consecutive triples
-// with lo2 == lo1+len1 exercise the adjacency merge.
+// drives them through a Device and the per-byte shadow in lockstep. The low
+// three bits of the first byte pick the kind and its high bits extend lo,
+// which is taken modulo the device size; lengths are taken modulo the room
+// left, so zero-length ranges, ranges ending at the device's last byte and
+// full-device flushes all occur. Consecutive triples with lo2 == lo1+len1
+// exercise the adjacency merge. The device size is not a multiple of the
+// pre-image line size, so the last line is a partial one.
 func runDirtySetOps(t *testing.T, ops []byte) {
 	t.Helper()
-	const space = 256
+	const space = 1000
 	d := New(space)
 	sh := shadowDev{make([]byte, space), make([]byte, space), make(shadowSet, space)}
 	for n := 0; len(ops) >= 3; n++ {
-		kind, lo := ops[0]%6, int(ops[1])
+		kind, lo := ops[0]%8, (int(ops[0]/8)<<8|int(ops[1]))%(space+1)
 		size := int(ops[2]) % (space - lo + 1)
 		if ops[2] == 255 {
 			lo, size = 0, space // full-device range
@@ -90,12 +93,10 @@ func runDirtySetOps(t *testing.T, ops []byte) {
 			d.Write(lo, data)
 			copy(sh.volatile[lo:], data)
 			sh.dirty.add(lo, hi)
-		case 1: // View mutation + MarkDirty (add)
-			for i := range d.View(lo, size) {
-				d.View(lo, size)[i] = fill
-				sh.volatile[lo+i] = fill
-			}
-			d.MarkDirty(lo, size)
+		case 1: // NIC-path write sourced from the device itself (gMEMCPY)
+			src := space - hi
+			d.Write(lo, d.View(src, size))
+			copy(sh.volatile[lo:hi], sh.volatile[src:src+size])
 			sh.dirty.add(lo, hi)
 		case 2: // CPU store (remove)
 			data := bytes.Repeat([]byte{fill}, size)
@@ -131,20 +132,42 @@ func runDirtySetOps(t *testing.T, ops []byte) {
 			if got := d.IsDirty(lo, size); got != want {
 				t.Fatalf("%s: IsDirty = %v, shadow %v (ivs=%v)", step, got, want, d.dirty.ivs)
 			}
+		case 6: // CPU store built in place: View mutation, then Persist
+			v := d.View(lo, size)
+			for i := range v {
+				v[i] ^= fill
+				sh.volatile[lo+i] = v[i]
+				sh.durable[lo+i] = v[i]
+			}
+			d.Persist(lo, size)
+			sh.dirty.remove(lo, hi)
+		case 7: // durable sub-range read
+			if got := d.DurableRead(lo, size); !bytes.Equal(got, sh.durable[lo:hi]) {
+				t.Fatalf("%s: DurableRead diverged from the shadow", step)
+			}
 		}
 		assertMatches(t, &d.dirty, sh.dirty, step)
-		if !bytes.Equal(d.volatile, sh.volatile) || !bytes.Equal(d.durable, sh.durable) {
+		if !bytes.Equal(d.Read(0, space), sh.volatile) || !bytes.Equal(d.DurableRead(0, space), sh.durable) {
 			t.Fatalf("%s: device images diverged from the shadow", step)
+		}
+		// A pre-image is held only on a line with dirty bytes, so the slab
+		// never outgrows the dirty set.
+		for l, s := range d.pre.line {
+			if s != 0 && !d.dirty.overlaps(l*lineSize, min((l+1)*lineSize, space)) {
+				t.Fatalf("%s: clean line %d holds a pre-image", step, l)
+			}
 		}
 	}
 }
 
-// FuzzDirtySet is the differential test of the in-place dirty set against
-// the per-byte shadow (add / remove / flush-range / PowerFail sequences).
+// FuzzDirtySet is the differential test of the in-place dirty set and the
+// device's live and durable images against the per-byte shadow (write /
+// store / flush-range / PowerFail / in-place store / durable read sequences).
 func FuzzDirtySet(f *testing.F) {
-	f.Add([]byte{0, 0, 10, 0, 10, 10, 3, 5, 10, 0, 5, 10})             // adjacent adds, flush through the middle, re-add the gap
-	f.Add([]byte{0, 50, 10, 0, 40, 10, 0, 60, 10, 2, 45, 20, 4, 0, 0}) // edge-abutting adds, a store that splits, power fail
-	f.Add([]byte{0, 7, 0, 3, 9, 0, 1, 0, 255, 3, 0, 255})              // zero-length ranges, full-device dirty + flush
+	f.Add([]byte{0, 0, 10, 0, 10, 10, 3, 5, 10, 0, 5, 10})                              // adjacent adds, flush through the middle, re-add the gap
+	f.Add([]byte{0, 50, 10, 0, 40, 10, 0, 60, 10, 2, 45, 20, 4, 0, 0})                  // edge-abutting adds, a store that splits, power fail
+	f.Add([]byte{0, 7, 0, 3, 9, 0, 1, 0, 255, 3, 0, 255})                               // zero-length ranges, full-device dirty + flush
+	f.Add([]byte{24, 200, 40, 6, 250, 30, 7, 230, 60, 1, 100, 200, 4, 0, 0, 7, 0, 255}) // partial last line, in-place store across a line edge, durable reads, self-sourced write
 	f.Fuzz(func(t *testing.T, ops []byte) { runDirtySetOps(t, ops) })
 }
 

@@ -9,23 +9,33 @@
 // cache deterministically; PowerFail discards whatever has not drained.
 package nvm
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
+
+// lineSize is the granularity at which the durable image is kept apart from
+// the live one: a write saves the pre-image of every line it touches.
+const lineSize = 256
+
+// chunkLines is the number of pre-image slots in one slab chunk (16 KiB).
+const chunkLines = 64
 
 // Device is a simulated NVM DIMM. The zero value is unusable; use New.
 //
-// Two byte arrays model the two levels of the hierarchy:
+// One byte array holds the live image — what reads observe (NIC cache +
+// media, coherent view). The durable image — what survives a power failure
+// — is the live image except on lines that hold a saved pre-image: a line's
+// pre-image is its durable bytes, kept only while its live bytes may differ.
 //
-//	volatile — what reads observe (NIC cache + media, coherent view)
-//	durable  — what survives a power failure
-//
-// NIC-path writes (Write) land in volatile and are tracked dirty until a
-// Flush persists them. CPU-path writes (Store) model a store followed by a
+// NIC-path writes (Write) land in the live image and are tracked dirty until
+// a Flush persists them. CPU-path writes (Store) model a store followed by a
 // cache-line write-back (CLWB+fence): they persist immediately, since host
 // stores do not traverse the NIC cache.
 type Device struct {
 	volatile []byte
-	durable  []byte
 	dirty    intervalSet
+	pre      preimages
 
 	writes      uint64
 	stores      uint64
@@ -35,6 +45,18 @@ type Device struct {
 	powerFails  uint64
 }
 
+// preimages maps lines to saved pre-images. line[l] is 1 + the slab slot of
+// line l's pre-image, or 0 when its durable bytes are its live bytes. Slots
+// live in fixed chunks that are never copied, and every slot not in use is
+// on the free list: the slab grows one chunk at a time, only when the free
+// list is empty, so it holds at most the high-water mark of lines with a
+// pre-image plus one chunk.
+type preimages struct {
+	line   []int32
+	chunks [][]byte
+	free   []int32
+}
+
 // New creates a device with the given capacity in bytes.
 func New(size int) *Device {
 	if size <= 0 {
@@ -42,7 +64,7 @@ func New(size int) *Device {
 	}
 	return &Device{
 		volatile: make([]byte, size),
-		durable:  make([]byte, size),
+		pre:      preimages{line: make([]int32, (size+lineSize-1)/lineSize)},
 	}
 }
 
@@ -56,15 +78,19 @@ func (d *Device) check(off, n int) {
 }
 
 // Write performs a NIC-path write: data becomes visible immediately but is
-// volatile until the covering range is flushed.
+// volatile until the covering range is flushed. data may alias the device.
 func (d *Device) Write(off int, data []byte) {
 	d.check(off, len(data))
-	copy(d.volatile[off:], data)
-	if len(data) > 0 {
-		d.dirty.add(off, off+len(data))
-		d.writes++
-		d.bytesDirty += uint64(len(data))
+	if len(data) == 0 {
+		return
 	}
+	for l := off / lineSize; l*lineSize < off+len(data); l++ {
+		d.save(l)
+	}
+	copy(d.volatile[off:], data)
+	d.dirty.add(off, off+len(data))
+	d.writes++
+	d.bytesDirty += uint64(len(data))
 }
 
 // Store performs a CPU-path persistent write (store + CLWB + fence): data is
@@ -82,7 +108,7 @@ func (d *Device) Store(off int, data []byte) {
 // Store — same images, same dirty set, same counter.
 func (d *Device) Persist(off, n int) {
 	d.check(off, n)
-	copy(d.durable[off:off+n], d.volatile[off:off+n])
+	d.persistRun(off, off+n)
 	d.dirty.remove(off, off+n)
 	d.stores++
 }
@@ -101,31 +127,21 @@ func (d *Device) ReadInto(off int, dst []byte) int {
 	return copy(dst, d.volatile[off:off+len(dst)])
 }
 
-// View returns the live backing slice for [off, off+n). Mutating it without
-// going through Write/Store bypasses durability tracking; it exists so the
-// RDMA layer can register memory regions over device ranges.
+// View returns the live backing slice for [off, off+n); it exists so the
+// RDMA layer can register memory regions over device ranges and a CPU store
+// can be built in place. Bytes written through it are tracked for
+// durability only once Persist covers them, within the same event: until
+// then the durable image of a line without a pre-image follows them.
 func (d *Device) View(off, n int) []byte {
 	d.check(off, n)
 	return d.volatile[off : off+n]
-}
-
-// MarkDirty records that [off, off+n) was mutated through a View on the NIC
-// path and is volatile until flushed.
-func (d *Device) MarkDirty(off, n int) {
-	d.check(off, n)
-	if n == 0 {
-		return
-	}
-	d.dirty.add(off, off+n)
-	d.writes++
-	d.bytesDirty += uint64(n)
 }
 
 // Flush drains any dirty (NIC-cached) bytes overlapping [off, off+n) to
 // durable media. It returns the number of bytes persisted.
 func (d *Device) Flush(off, n int) int {
 	d.check(off, n)
-	synced := d.dirty.drain(off, off+n, d.durable, d.volatile)
+	synced := d.dirty.drain(off, off+n, d.persistRun)
 	d.flushes++
 	d.bytesSynced += uint64(synced)
 	return synced
@@ -146,7 +162,7 @@ func (d *Device) IsDirty(off, n int) bool {
 // PowerFail simulates losing power: all un-flushed NIC-cache contents are
 // discarded and the live view reverts to durable state.
 func (d *Device) PowerFail() {
-	d.dirty.drain(0, len(d.volatile), d.volatile, d.durable)
+	d.dirty.drain(0, len(d.volatile), d.revertRun)
 	d.powerFails++
 }
 
@@ -154,8 +170,79 @@ func (d *Device) PowerFail() {
 func (d *Device) DurableRead(off, n int) []byte {
 	d.check(off, n)
 	out := make([]byte, n)
-	copy(out, d.durable[off:off+n])
+	copy(out, d.volatile[off:off+n])
+	for l := off / lineSize; l*lineSize < off+n; l++ {
+		if img := d.image(l); img != nil {
+			base := l * lineSize
+			lo, hi := max(off, base), min(off+n, base+len(img))
+			copy(out[lo-off:hi-off], img[lo-base:hi-base])
+		}
+	}
 	return out
+}
+
+// image returns line l's saved pre-image, or nil when it holds none.
+func (d *Device) image(l int) []byte {
+	s := int(d.pre.line[l]) - 1
+	if s < 0 {
+		return nil
+	}
+	at := s % chunkLines * lineSize
+	return d.pre.chunks[s/chunkLines][at : at+min(lineSize, len(d.volatile)-l*lineSize)]
+}
+
+// save keeps line l's live bytes as its pre-image unless it holds one.
+func (d *Device) save(l int) {
+	p := &d.pre
+	if p.line[l] != 0 {
+		return
+	}
+	if len(p.free) == 0 {
+		first := int32(len(p.chunks)) * chunkLines
+		p.chunks = append(p.chunks, make([]byte, chunkLines*lineSize))
+		for s := first + chunkLines - 1; s >= first; s-- {
+			p.free = append(p.free, s)
+		}
+	}
+	n := len(p.free) - 1
+	p.line[l] = p.free[n] + 1
+	p.free = p.free[:n]
+	base := l * lineSize
+	img := d.image(l)
+	copy(img, d.volatile[base:base+len(img)])
+}
+
+// persistRun makes the live bytes [lo, hi) durable (a drained or persisted
+// run) and revertRun restores the durable bytes over them (a run a power
+// failure discards).
+func (d *Device) persistRun(lo, hi int) { d.syncRun(lo, hi, false) }
+func (d *Device) revertRun(lo, hi int)  { d.syncRun(lo, hi, true) }
+
+// syncRun brings the live and durable bytes of [lo, hi) together on every
+// line with a pre-image, and releases each pre-image that then equals its
+// whole live line. The release is exact: such a line's durable bytes are
+// its live bytes. Only the line's bytes outside the run need comparing, so
+// a run covering a whole line releases it without a copy. The walk is
+// bounded by [lo, hi), never by a wider range.
+func (d *Device) syncRun(lo, hi int, revert bool) {
+	for l := lo / lineSize; l*lineSize < hi; l++ {
+		img := d.image(l)
+		if img == nil {
+			continue
+		}
+		base := l * lineSize
+		live := d.volatile[base : base+len(img)]
+		a, b := max(lo, base)-base, min(hi, base+len(img))-base
+		if revert {
+			copy(live[a:b], img[a:b])
+		}
+		if bytes.Equal(img[:a], live[:a]) && bytes.Equal(img[b:], live[b:]) {
+			d.pre.free = append(d.pre.free, d.pre.line[l]-1)
+			d.pre.line[l] = 0
+		} else if !revert {
+			copy(img[a:b], live[a:b])
+		}
+	}
 }
 
 // Stats is a snapshot of device activity counters.
@@ -241,14 +328,14 @@ func (s *intervalSet) add(lo, hi int) {
 
 // remove clears [lo, hi), keeping the parts of boundary intervals outside it.
 func (s *intervalSet) remove(lo, hi int) {
-	s.drain(lo, hi, nil, nil)
+	s.drain(lo, hi, nil)
 }
 
-// drain removes [lo, hi) from the set and, when dst is non-nil, copies the
-// removed (dirty) bytes src→dst on the way: one walk over the overlapped run
-// serves Flush (volatile→durable) and PowerFail (durable→volatile). It
+// drain removes [lo, hi) from the set and, when visit is non-nil, hands it
+// each removed (dirty) run on the way: one walk over the overlapped run
+// serves Flush (persist each run) and PowerFail (revert each run). It
 // returns the number of dirty bytes that were in the range.
-func (s *intervalSet) drain(lo, hi int, dst, src []byte) int {
+func (s *intervalSet) drain(lo, hi int, visit func(lo, hi int)) int {
 	if lo >= hi {
 		return 0
 	}
@@ -257,8 +344,8 @@ func (s *intervalSet) drain(lo, hi int, dst, src []byte) int {
 	n := 0
 	for ; j < len(s.ivs) && s.ivs[j].lo < hi; j++ {
 		clo, chi := max(lo, s.ivs[j].lo), min(hi, s.ivs[j].hi)
-		if dst != nil {
-			copy(dst[clo:chi], src[clo:chi])
+		if visit != nil {
+			visit(clo, chi)
 		}
 		n += chi - clo
 	}

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -80,17 +81,15 @@ func TestStoreSupersedesDirtyRange(t *testing.T) {
 	}
 }
 
-func TestViewAndMarkDirty(t *testing.T) {
+func TestViewSeesVolatileWrite(t *testing.T) {
 	d := New(64)
-	v := d.View(0, 8)
-	copy(v, "rdmapath")
-	d.MarkDirty(0, 8)
-	if got := d.Read(0, 8); string(got) != "rdmapath" {
-		t.Fatalf("view write invisible: %q", got)
+	d.Write(0, []byte("rdmapath"))
+	if got := d.View(0, 8); string(got) != "rdmapath" {
+		t.Fatalf("write invisible through view: %q", got)
 	}
 	d.PowerFail()
-	if got := d.Read(0, 8); string(got) == "rdmapath" {
-		t.Fatal("dirty view write survived power failure")
+	if got := d.View(0, 8); string(got) == "rdmapath" {
+		t.Fatal("unflushed write survived power failure")
 	}
 }
 
@@ -240,7 +239,7 @@ func TestIntervalSetRemoveSplits(t *testing.T) {
 func TestIntervalSetDrainClips(t *testing.T) {
 	var s intervalSet
 	s.add(10, 30)
-	if n := s.drain(20, 25, nil, nil); n != 5 {
+	if n := s.drain(20, 25, nil); n != 5 {
 		t.Fatalf("drain(20,25) covered %d bytes, want 5", n)
 	}
 	if len(s.ivs) != 2 || s.ivs[0] != (interval{10, 20}) || s.ivs[1] != (interval{25, 30}) {
@@ -249,21 +248,24 @@ func TestIntervalSetDrainClips(t *testing.T) {
 	if s.overlaps(30, 40) || s.overlaps(20, 25) {
 		t.Fatalf("phantom overlap: %+v", s.ivs)
 	}
-	if n := s.drain(30, 40, nil, nil); n != 0 || len(s.ivs) != 2 {
+	if n := s.drain(30, 40, nil); n != 0 || len(s.ivs) != 2 {
 		t.Fatalf("drain of a clean range covered %d bytes, set now %+v", n, s.ivs)
 	}
 }
 
 // Steady-state dirty tracking allocates nothing: the set splices inside its
-// backing array once that has grown to the working set's size.
-func TestMarkDirtyFlushAllocFree(t *testing.T) {
+// backing array, and pre-images reuse released slab slots, once both have
+// grown to the working set's size.
+func TestWriteFlushAllocFree(t *testing.T) {
 	d := New(1 << 16)
+	buf := make([]byte, 3072)
 	cycle := func() {
 		for off := 0; off < 1<<16; off += 4096 {
-			d.MarkDirty(off, 1024)
+			buf[0]++
+			d.Write(off, buf[:1024])
 		}
-		d.MarkDirty(1024, 3072) // merges two neighbours
-		d.Flush(512, 8192)      // splits one, swallows another
+		d.Write(1024, buf) // merges two neighbours
+		d.Flush(512, 8192) // splits one, swallows another
 		if !d.IsDirty(0, 512) {
 			t.Fatal("remnant lost")
 		}
@@ -271,6 +273,75 @@ func TestMarkDirtyFlushAllocFree(t *testing.T) {
 	}
 	cycle()
 	if n := testing.AllocsPerRun(200, cycle); n != 0 {
-		t.Fatalf("steady-state MarkDirty+Flush allocates %v times per cycle", n)
+		t.Fatalf("steady-state Write+Flush allocates %v times per cycle", n)
+	}
+}
+
+// heldPreimages counts the lines holding a pre-image, checking the slab's
+// accounting on the way: every slot is held or free.
+func heldPreimages(t *testing.T, d *Device) int {
+	t.Helper()
+	held := 0
+	for _, s := range d.pre.line {
+		if s != 0 {
+			held++
+		}
+	}
+	if slots := len(d.pre.chunks) * chunkLines; held+len(d.pre.free) != slots {
+		t.Fatalf("%d held + %d free slots, %d in the slab", held, len(d.pre.free), slots)
+	}
+	return held
+}
+
+// A drain that leaves a line's live bytes durable releases its pre-image:
+// after FlushAll, and separately after PowerFail, no line holds one, and
+// dirtying the same lines again reuses the slab rather than growing it.
+func TestPreimagesReleased(t *testing.T) {
+	const size = 1<<20 - 100 // not a multiple of the line size
+	for _, end := range []struct {
+		name  string
+		drain func(*Device)
+	}{
+		{"FlushAll", func(d *Device) { d.FlushAll() }},
+		{"PowerFail", (*Device).PowerFail},
+	} {
+		d := New(size)
+		dirty := func() {
+			for off := 0; off < size-3000; off += 7919 {
+				d.Write(off, bytes.Repeat([]byte{byte(off)}, 3000))
+			}
+			d.Write(size-10, []byte("last line!"))
+			d.Flush(0, size/2)
+			d.Store(size/2, make([]byte, 5000))
+		}
+		dirty()
+		if heldPreimages(t, d) == 0 {
+			t.Fatalf("%s: no pre-images before the drain", end.name)
+		}
+		end.drain(d)
+		if n := heldPreimages(t, d); n != 0 {
+			t.Fatalf("%s left %d lines holding a pre-image", end.name, n)
+		}
+		chunks := len(d.pre.chunks)
+		dirty()
+		end.drain(d)
+		if n := heldPreimages(t, d); n != 0 || len(d.pre.chunks) != chunks {
+			t.Fatalf("%s: second round holds %d pre-images in %d chunks (first round %d chunks)",
+				end.name, n, len(d.pre.chunks), chunks)
+		}
+	}
+}
+
+// A new device holds one image: the live bytes plus a 4-byte index entry
+// per line, not a second full-size durable array.
+func TestNewHoldsOneImage(t *testing.T) {
+	const size = 32 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := New(size)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	if got := after.TotalAlloc - before.TotalAlloc; got > size+size/32 {
+		t.Fatalf("New(%d) allocated %d bytes, want at most %d", size, got, size+size/32)
 	}
 }

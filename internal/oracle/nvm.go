@@ -79,11 +79,11 @@ func (s *shadowDevice) dirtyBytes() int {
 }
 
 // CheckNVM drives n random operations through nvm.Device and the per-byte
-// shadow in lockstep: NIC-path writes, CPU-path stores, View mutations with
-// MarkDirty, partial flushes, and power failures. After every operation the
-// live image, the durable image, and the dirty-byte count must agree; a
-// Flush must also report the same persisted-byte count (the store-MR drain
-// accounting gFLUSH latency is charged from).
+// shadow in lockstep: NIC-path writes, CPU-path stores, partial flushes, and
+// power failures. After every operation the live image, the durable image,
+// and the dirty-byte count must agree; a Flush must also report the same
+// persisted-byte count (the store-MR drain accounting gFLUSH latency is
+// charged from).
 func CheckNVM(seed int64, n int) Report {
 	const name = "nvm"
 	const size = 512
@@ -103,7 +103,7 @@ func CheckNVM(seed int64, n int) Report {
 		}
 		var step string
 		switch r.Intn(6) {
-		case 0, 1: // NIC-path write: visible, volatile until flushed
+		case 0, 1, 3: // NIC-path write: visible, volatile until flushed
 			step = fmt.Sprintf("Write(%d, %d bytes)", off, length)
 			dev.Write(off, payload)
 			shadow.write(off, payload)
@@ -111,11 +111,6 @@ func CheckNVM(seed int64, n int) Report {
 			step = fmt.Sprintf("Store(%d, %d bytes)", off, length)
 			dev.Store(off, payload)
 			shadow.store(off, payload)
-		case 3: // RDMA-layer View mutation + MarkDirty
-			step = fmt.Sprintf("View+MarkDirty(%d, %d)", off, length)
-			copy(dev.View(off, length), payload)
-			dev.MarkDirty(off, length)
-			shadow.write(off, payload)
 		case 4: // partial flush: persisted counts must match exactly
 			step = fmt.Sprintf("Flush(%d, %d)", off, length)
 			got := dev.Flush(off, length)

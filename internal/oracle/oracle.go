@@ -14,7 +14,7 @@
 //  3. rdma.WQE Encode/Decode round-trips, including host/HW ownership-flag
 //     preservation (the bit remote work request manipulation toggles);
 //  4. nvm.Device interval-set dirty tracking vs a naive per-byte shadow
-//     map under random Write/Store/MarkDirty/Flush/PowerFail sequences;
+//     map under random Write/Store/Flush/PowerFail sequences;
 //  5. end-to-end result equivalence: HyperLoop (internal/core) and
 //     Naïve-RDMA (internal/naive) driven with the same seed and operation
 //     stream must leave byte-identical replica store images and identical

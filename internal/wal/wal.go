@@ -42,8 +42,10 @@ type Store interface {
 	ReadLocal(off, size int) []byte
 	// Window returns the live bytes [off, off+size) of the window itself, so
 	// a record can be encoded where it will live. Bytes written through it
-	// become durable when Persist covers them; Window + Persist over one
-	// range is one WriteLocal without the staging copy.
+	// are tracked for durability only once Persist covers them, within the
+	// same event; Window + Persist over one range is one WriteLocal without
+	// the staging copy. The one writer that never persists is the test-only
+	// poisonReclaimed, which runs only over an in-memory Store.
 	Window(off, size int) []byte
 	Persist(off, size int)
 }
@@ -144,7 +146,7 @@ type Log struct {
 	obs  *walObs // nil when uninstrumented (the default)
 	taps []Tap   // lifecycle observers (empty by default)
 
-	poisonReclaimed bool // tests: scribble over ring bytes the head has passed
+	poisonReclaimed bool // tests over an in-memory Store: scribble over ring bytes the head has passed, unpersisted
 }
 
 // walObs holds observability handles. All hooks observe only — they never
